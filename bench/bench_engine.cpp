@@ -11,7 +11,6 @@
 // speed differences and compare shape, not silicon.
 //
 // Usage: bench_engine [--json PATH] [--repeats N] [--min-secs S] [--quick]
-// (--out is a legacy alias for --json kept for existing scripts.)
 
 #include <algorithm>
 #include <chrono>
@@ -361,7 +360,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   bench::Args args("Engine microbenchmark suite; diffed by scripts/bench_gate.sh.");
   args.option("--json", &out, "PATH", "machine-readable results file")
-      .option("--out", &out, "PATH", "legacy alias for --json")
       .option("--repeats", &repeats, "N", "repeats per benchmark (keep best)")
       .option("--min-secs", &min_secs, "S", "minimum wall time per repeat")
       .flag("--quick", &quick, "smoke run: 1 repeat, 0.05s per benchmark");

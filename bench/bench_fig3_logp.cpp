@@ -6,9 +6,9 @@
 // the same; defensive checks contribute ~1.1us to L and g.
 //
 // The attribution section re-runs the AM ping-pongs (no streaming phase)
-// with the flight recorder tracking every message and prints the per-stage
-// decomposition of the one-way latency; the stage sums must reconcile with
-// the measured RTT — each round trip is two one-way flights (request +
+// with the span recorder tracking every message and prints the per-stage
+// decomposition of the one-way latency; the end-to-end mean must reconcile
+// with the measured RTT — each round trip is two one-way flights (request +
 // reply) — within a few percent.
 
 #include <cmath>
@@ -51,9 +51,9 @@ int main() {
       cluster::NowConfig(2), /*pingpongs=*/300, /*stream=*/0,
       /*attribute=*/true);
   std::printf("\nAM one-way latency attribution (300 ping-pongs, "
-              "stage boundaries of obs/attr.hpp):\n%s",
-              attr.attr_report.c_str());
-  const double two_way = 2.0 * attr.attr_e2e_us;
+              "span stages of obs/span.hpp):\n%s",
+              attr.stage_report.c_str());
+  const double two_way = 2.0 * attr.stage_e2e_us;
   const double delta_pct =
       attr.rtt_us > 0 ? 100.0 * (two_way - attr.rtt_us) / attr.rtt_us : 0.0;
   std::printf("2 x e2e mean %.2fus vs measured RTT %.2fus (delta %+.2f%%)\n",

@@ -56,7 +56,7 @@ if [ ! -x build/bench/bench_engine ]; then
 fi
 
 echo "== running engine benchmark suite =="
-./build/bench/bench_engine --out "$CURRENT" ${BENCH_FLAGS[@]+"${BENCH_FLAGS[@]}"}
+./build/bench/bench_engine --json "$CURRENT" ${BENCH_FLAGS[@]+"${BENCH_FLAGS[@]}"}
 
 if [ "$UPDATE" = 1 ]; then
   cp "$CURRENT" "$BASELINE"

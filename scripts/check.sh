@@ -76,7 +76,7 @@ do_notrace() {
   # Includes the Trace.MacroCompileConfigIsZeroCost guard, which asserts the
   # VNET_TRACE_* macros expand to nothing in this configuration.
   ctest --test-dir build-notrace --output-on-failure -j "$JOBS" \
-    -R "Trace\.|Metrics\.|ObsIntegration\.|Attr\.|Sampler\.|Watchdog\.|EventQueue\.|Span\.|Tail\.|SpanIntegration\."
+    -R "Trace\.|Metrics\.|ObsIntegration\.|Sampler\.|Watchdog\.|EventQueue\.|Span\.|Tail\.|SpanIntegration\."
 }
 
 case "$CONFIG" in

@@ -26,7 +26,7 @@ Usage:
     scripts/plot_timeseries.py /tmp/bw.csv [--phase 1] [--plot out.png]
     scripts/plot_timeseries.py /tmp/bw.csv --bands                  # list
     scripts/plot_timeseries.py /tmp/bw.csv \
-        --bands host.0.ep.1.attr.e2e --plot bands.png
+        --bands host.0.ep.1.span.e2e --plot bands.png
 
 Pure standard library; --plot uses matplotlib only if it is installed.
 """

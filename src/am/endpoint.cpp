@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "am/probe.hpp"
-#include "obs/attr.hpp"
 #include "obs/span.hpp"
 
 namespace vnet::am {
@@ -286,12 +285,10 @@ sim::Task<> Endpoint::send_common(host::HostThread& t,
   }
 
   // The write into the endpoint may fault (on-host r/o -> r/w, §4.2).
-  // Attribution's kEnqueue boundary: the stall loop above is back-pressure,
+  // The span's kEnqueue boundary: the stall loop above is back-pressure,
   // not send overhead, so o_s starts here (the message id that names the
   // flight only exists further down; begin() backdates to enq_at).
   const sim::Time enq_at = host_->engine().now();
-  const auto enq_ev =
-      static_cast<std::int64_t>(host_->engine().events_processed());
   if (!host_->driver().writable(state_)) {
     co_await host_->driver().ensure_writable(t.ctx(), state_);
   }
@@ -321,23 +318,12 @@ sim::Task<> Endpoint::send_common(host::HostThread& t,
     probe_->message_injected(state_->node, state_->id, desc.msg_id, is_request,
                              dst, host_->engine().now());
   }
-  obs::AttrRecorder& attr = host_->engine().attr();
   obs::SpanRecorder& spans = host_->engine().spans();
-  bool attr_tracked = false;
-  bool span_tracked = false;
-  std::uint64_t attr_key = 0;
-  if (attr.enabled() || spans.enabled()) {
-    const auto node = static_cast<std::uint32_t>(state_->node);
-    attr_key = obs::AttrRecorder::key(node, state_->id, desc.msg_id);
-    if (attr.enabled()) {
-      attr_tracked = attr.begin(node, state_->id, desc.msg_id,
-                                static_cast<std::int64_t>(enq_at), enq_ev);
-    }
-    if (spans.enabled()) {
-      span_tracked = spans.begin(node, state_->id, desc.msg_id,
-                                 static_cast<std::int64_t>(enq_at));
-    }
-  }
+  const auto node = static_cast<std::uint32_t>(state_->node);
+  const std::uint64_t span_key =
+      obs::SpanRecorder::key(node, state_->id, desc.msg_id);
+  const bool span_tracked = spans.begin(node, state_->id, desc.msg_id,
+                                        static_cast<std::int64_t>(enq_at));
   state_->send_queue.push_back(std::move(desc));
   if (is_request) {
     ++outstanding_requests_;
@@ -346,15 +332,10 @@ sim::Task<> Endpoint::send_common(host::HostThread& t,
     counters_.replies_sent.inc();
   }
   const sim::Time gate_at = host_->nic().doorbell(*state_);
-  if (attr_tracked) {
-    attr.stamp(attr_key, obs::Stage::kDoorbell,
-               static_cast<std::int64_t>(host_->engine().now()),
-               static_cast<std::int64_t>(host_->engine().events_processed()));
-  }
   if (span_tracked) {
-    spans.point(attr_key, obs::SpanPoint::kDoorbell,
+    spans.point(span_key, obs::SpanPoint::kDoorbell,
                 static_cast<std::int64_t>(host_->engine().now()));
-    spans.point(attr_key, obs::SpanPoint::kGateOpen,
+    spans.point(span_key, obs::SpanPoint::kGateOpen,
                 static_cast<std::int64_t>(gate_at));
   }
   unlock();
@@ -402,25 +383,17 @@ sim::Task<std::size_t> Endpoint::poll(host::HostThread& t, std::size_t max) {
     q->pop_front();
     const bool credit_only =
         !entry.body.is_request && entry.body.handler == kCreditHandler;
-    obs::AttrRecorder& attr = host_->engine().attr();
     obs::SpanRecorder& spans = host_->engine().spans();
-    bool attr_track = false;
-    std::uint64_t attr_key = 0;
-    if ((attr.enabled() || spans.enabled()) && !credit_only) {
+    const bool span_track = spans.enabled() && !credit_only;
+    std::uint64_t span_key = 0;
+    if (span_track) {
       // Dequeue is the handler/thread-wake boundary: everything from here
       // to handler return is receiver overhead o_r.
-      attr_key = obs::AttrRecorder::key(
+      span_key = obs::SpanRecorder::key(
           static_cast<std::uint32_t>(entry.src_node), entry.src_ep,
           entry.msg_id);
-      if (attr.enabled()) {
-        attr.stamp(attr_key, obs::Stage::kHandlerWake,
-                   static_cast<std::int64_t>(host_->engine().now()),
-                   static_cast<std::int64_t>(
-                       host_->engine().events_processed()));
-      }
-      spans.point(attr_key, obs::SpanPoint::kHandlerWake,
+      spans.point(span_key, obs::SpanPoint::kHandlerWake,
                   static_cast<std::int64_t>(host_->engine().now()));
-      attr_track = true;
     }
     if (credit_only) {
       // Implicit credit replies carry no payload the application reads;
@@ -450,12 +423,8 @@ sim::Task<std::size_t> Endpoint::poll(host::HostThread& t, std::size_t max) {
       if (msg.handler() != kCreditHandler) {
         counters_.messages_handled.inc();
         if (handlers_[msg.handler()]) handlers_[msg.handler()](*this, msg);
-        if (attr_track) {
-          attr.finish(attr_key,
-                      static_cast<std::int64_t>(host_->engine().now()),
-                      static_cast<std::int64_t>(
-                          host_->engine().events_processed()));
-          spans.finish(attr_key,
+        if (span_track) {
+          spans.finish(span_key,
                        static_cast<std::int64_t>(host_->engine().now()));
         }
       }
@@ -465,13 +434,10 @@ sim::Task<std::size_t> Endpoint::poll(host::HostThread& t, std::size_t max) {
 
     counters_.messages_handled.inc();
     if (handlers_[msg.handler()]) handlers_[msg.handler()](*this, msg);
-    if (attr_track) {
+    if (span_track) {
       // Handler return completes the request's flight; the reply enqueued
       // below is its own flight.
-      attr.finish(attr_key, static_cast<std::int64_t>(host_->engine().now()),
-                  static_cast<std::int64_t>(
-                      host_->engine().events_processed()));
-      spans.finish(attr_key,
+      spans.finish(span_key,
                    static_cast<std::int64_t>(host_->engine().now()));
     }
 
@@ -514,8 +480,6 @@ sim::Task<> Endpoint::enqueue_reply_locked(host::HostThread& t,
     if (destroyed_) co_return;
   }
   const sim::Time enq_at = host_->engine().now();
-  const auto enq_ev =
-      static_cast<std::int64_t>(host_->engine().events_processed());
   if (!host_->driver().writable(state_)) {
     co_await host_->driver().ensure_writable(t.ctx(), state_);
   } else {
@@ -532,34 +496,19 @@ sim::Task<> Endpoint::enqueue_reply_locked(host::HostThread& t,
                              /*is_request=*/false, d.reply_to.node,
                              host_->engine().now());
   }
-  obs::AttrRecorder& attr = host_->engine().attr();
   obs::SpanRecorder& spans = host_->engine().spans();
-  bool attr_tracked = false;
-  bool span_tracked = false;
-  std::uint64_t attr_key = 0;
-  if ((attr.enabled() || spans.enabled()) && tracked_kind) {
-    const auto node = static_cast<std::uint32_t>(state_->node);
-    attr_key = obs::AttrRecorder::key(node, state_->id, d.msg_id);
-    if (attr.enabled()) {
-      attr_tracked = attr.begin(node, state_->id, d.msg_id,
-                                static_cast<std::int64_t>(enq_at), enq_ev);
-    }
-    if (spans.enabled()) {
-      span_tracked = spans.begin(node, state_->id, d.msg_id,
-                                 static_cast<std::int64_t>(enq_at));
-    }
-  }
+  const auto node = static_cast<std::uint32_t>(state_->node);
+  const std::uint64_t span_key =
+      obs::SpanRecorder::key(node, state_->id, d.msg_id);
+  const bool span_tracked =
+      tracked_kind && spans.begin(node, state_->id, d.msg_id,
+                                  static_cast<std::int64_t>(enq_at));
   state_->send_queue.push_back(std::move(d));
   const sim::Time gate_at = host_->nic().doorbell(*state_);
-  if (attr_tracked) {
-    attr.stamp(attr_key, obs::Stage::kDoorbell,
-               static_cast<std::int64_t>(host_->engine().now()),
-               static_cast<std::int64_t>(host_->engine().events_processed()));
-  }
   if (span_tracked) {
-    spans.point(attr_key, obs::SpanPoint::kDoorbell,
+    spans.point(span_key, obs::SpanPoint::kDoorbell,
                 static_cast<std::int64_t>(host_->engine().now()));
-    spans.point(attr_key, obs::SpanPoint::kGateOpen,
+    spans.point(span_key, obs::SpanPoint::kGateOpen,
                 static_cast<std::int64_t>(gate_at));
   }
 }
@@ -584,11 +533,6 @@ void Endpoint::on_returned(lanai::SendDescriptor d, lanai::NackReason r) {
       (d.body.is_request || d.body.handler != kCreditHandler)) {
     probe_->message_returned(state_->node, state_->id, d.msg_id, r,
                              host_->engine().now());
-  }
-  if (state_ != nullptr && host_->engine().attr().enabled()) {
-    // A returned message never reaches a handler; forget its flight.
-    host_->engine().attr().drop(obs::AttrRecorder::key(
-        static_cast<std::uint32_t>(state_->node), state_->id, d.msg_id));
   }
   if (state_ != nullptr && host_->engine().spans().enabled()) {
     // Spans keep the return as a terminal edge: returned traces explain

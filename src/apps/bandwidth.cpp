@@ -70,7 +70,6 @@ BandwidthResult measure_bandwidth(const cluster::ClusterConfig& config,
   cluster::Cluster cl(cfg);
   if (span_sample_interval > 0) {
     cl.engine().spans().set_sample_interval(span_sample_interval);
-    cl.engine().attr().set_sample_interval(span_sample_interval);
     // Enough for every sampled message across all sizes (streams + echoes,
     // requests + replies).
     const std::size_t msgs = sizes.size() *
@@ -96,8 +95,8 @@ BandwidthResult measure_bandwidth(const cluster::ClusterConfig& config,
     obs::SamplerConfig scfg;
     scfg.period_ns = sample_period;
     scfg.prefixes = {"apps.bandwidth", "fabric.link."};
-    // With attribution on, also export the per-endpoint attr histograms so
-    // the CSV carries p50/p99/p999 latency columns per window.
+    // With span capture on, also export the per-endpoint span histograms
+    // so the CSV carries p50/p99/p999 latency columns per window.
     if (span_sample_interval > 0) scfg.prefixes.push_back("host.");
     sampler = std::make_unique<obs::Sampler>(cl.engine().metrics(), scfg);
     sampler->sample(cl.engine().now());  // baseline window

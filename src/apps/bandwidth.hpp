@@ -29,7 +29,7 @@ struct BandwidthResult {
   /// deltas plus the `apps.bandwidth.msg_bytes` / `.phase` gauges, enough
   /// to regenerate the bandwidth-vs-size curve offline
   /// (scripts/plot_timeseries.py). With span capture on, the window rows
-  /// additionally carry `host.<n>.ep.<id>.attr.*` percentile columns
+  /// additionally carry `host.<n>.ep.<id>.span.*` percentile columns
   /// (.p50/.p99/.p999) for percentile-band plots.
   std::string timeseries_csv;
   /// Differential tail profile of the captured spans ("" unless

@@ -4,7 +4,6 @@
 
 #include "am/endpoint.hpp"
 #include "cluster/cluster.hpp"
-#include "obs/attr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/stats.hpp"
@@ -114,8 +113,7 @@ LogpResult measure_logp(const cluster::ClusterConfig& config, int pingpongs,
   cfg.topology = cluster::ClusterConfig::Topology::kCrossbar;
   cluster::Cluster cl(cfg);
   if (attribute) {
-    cl.engine().attr().set_sample_interval(1);  // track all
-    cl.engine().spans().set_sample_interval(1);
+    cl.engine().spans().set_sample_interval(1);  // track all
     // Retain every ping-pong (requests + replies) for the tail profile.
     cl.engine().spans().set_ring_capacity(
         static_cast<std::size_t>(2 * (pingpongs + stream) + 64));
@@ -144,10 +142,10 @@ LogpResult measure_logp(const cluster::ClusterConfig& config, int pingpongs,
 
   if (attribute) {
     const obs::Snapshot snap = cl.engine().snapshot();
-    const obs::AttrSummary sum = obs::summarize_attr(snap);
-    r.attr_e2e_us = sum.e2e.mean() / 1e3;
-    r.attr_stage_sum_us = sum.stage_sum_mean_ns() / 1e3;
-    r.attr_report = obs::render_attr_report(snap);
+    const obs::SpanStageSummary sum = obs::summarize_span_stages(snap);
+    r.stage_e2e_us = sum.e2e.mean() / 1e3;
+    r.stage_sum_us = sum.stage_sum_mean_ns() / 1e3;
+    r.stage_report = obs::render_span_stages(snap);
     const obs::TailReport tail =
         obs::tail_report(cl.engine().spans().collect());
     r.tail_report = obs::render_tail_report(tail);

@@ -5,8 +5,6 @@
 #include <string>
 
 #include "am/endpoint.hpp"
-#include <cstdio>
-
 #include "cluster/cluster.hpp"
 #include "obs/metrics.hpp"
 
@@ -233,7 +231,6 @@ ContentionResult run_contention(const ContentionParams& params) {
   // snapshots: everything counted inside the window is a snapshot diff,
   // no per-counter bookkeeping at open time.
   ContentionResult result;
-  auto& nic = cl.host(0).nic();
   const std::string qfull_name =
       "host.0.nic.nacks_sent_by_reason." +
       std::to_string(static_cast<int>(lanai::NackReason::kQueueFull));
@@ -265,8 +262,6 @@ ContentionResult run_contention(const ContentionParams& params) {
     const obs::Snapshot window = obs::diff(close_snap, open_snap);
     result.remaps_per_sec =
         static_cast<double>(window.counter("host.0.driver.remaps")) / secs;
-    result.server_write_faults = close_snap.counter("host.0.driver.write_faults");
-    result.server_proxy_faults = close_snap.counter("host.0.driver.proxy_faults");
     result.queue_full_nacks = window.counter(qfull_name);
     result.not_resident_nacks = window.counter(notres_name);
     result.retransmissions =
@@ -274,40 +269,6 @@ ContentionResult run_contention(const ContentionParams& params) {
   });
   cl.engine().after(params.warmup + params.window + 60 * sim::ms,
                     [&] { st->servers_stop = true; });
-
-  if (params.debug_trace) {
-    for (int msi = 1; msi < 400; ++msi) {
-      cl.engine().at(msi * sim::ms, [&cl, &st, &nic, &notres_name] {
-        std::uint64_t replies = 0;
-        for (auto r : st->replies) replies += r;
-        const obs::Snapshot s = cl.engine().snapshot();
-        std::fprintf(stderr,
-                     "[%4lldms] events=%llu replies=%llu remaps=%llu "
-                     "notres=%llu retrans=%llu timeouts=%llu pend=%zu\n",
-                     static_cast<long long>(cl.engine().now() / sim::ms),
-                     static_cast<unsigned long long>(
-                         cl.engine().events_processed()),
-                     static_cast<unsigned long long>(replies),
-                     static_cast<unsigned long long>(
-                         s.counter("host.0.driver.remaps")),
-                     static_cast<unsigned long long>(s.counter(notres_name)),
-                     static_cast<unsigned long long>(
-                         s.counter("host.0.nic.retransmissions")),
-                     static_cast<unsigned long long>(
-                         s.counter("host.0.nic.timeouts")),
-                     cl.engine().pending_events());
-        std::fprintf(stderr,
-                     "        remapq=%zu unloads=%zu busych=%d reqd=%zu "
-                     "drain=%zu evict=%llu resident=%d\n",
-                     cl.host(0).driver().remap_queue_size(),
-                     nic.pending_unload_count(), nic.busy_channel_count(),
-                     nic.resident_requested_count(), nic.draining_count(),
-                     static_cast<unsigned long long>(
-                         s.counter("host.0.driver.evictions")),
-                     cl.host(0).driver().resident_count());
-      });
-    }
-  }
 
   cl.run_to_completion();
   result.rtt_us = st->rtt_us;

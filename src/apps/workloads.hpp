@@ -38,9 +38,6 @@ struct ContentionParams {
   /// Collect client-observed round-trip times (slightly more work).
   bool collect_rtt = true;
 
-  /// Print a progress line every simulated millisecond (debugging aid).
-  bool debug_trace = false;
-
   /// Endpoint replacement policy on the server (ablation B; the paper's
   /// system replaces at random).
   host::SegmentDriver::Policy replacement =
@@ -73,8 +70,6 @@ struct ContentionResult {
 
   /// Virtualization activity on the server during the window.
   double remaps_per_sec = 0;
-  std::uint64_t server_write_faults = 0;
-  std::uint64_t server_proxy_faults = 0;
   std::uint64_t queue_full_nacks = 0;
   std::uint64_t not_resident_nacks = 0;
   std::uint64_t retransmissions = 0;

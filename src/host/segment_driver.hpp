@@ -111,7 +111,6 @@ class SegmentDriver {
   // `host.<node>.driver.*` (see obs/metrics.hpp); snapshot that.
 
   int resident_count() const;
-  std::size_t remap_queue_size() const { return remap_queue_.size(); }
 
  private:
   struct Managed {
@@ -150,7 +149,7 @@ class SegmentDriver {
   sim::Rng rng_;
   DriverCounters counters_;
   /// Service time of each write-fault (on-host r/o -> writable), the OS
-  /// contribution to send latency attribution (obs/attr.hpp); registered
+  /// contribution to send latency (the span host_enqueue stage); registered
   /// under `host.<node>.driver.attr.fault_ns`.
   obs::Histogram fault_ns_;
   std::string metric_prefix_;

@@ -109,7 +109,7 @@ struct Frame : myrinet::Payload {
 
   /// Not a wire field: when the carrying packet reached the destination
   /// station (copied from Packet::delivered_at by handle_rx), the wire
-  /// boundary for latency attribution (obs/attr.hpp). -1 for local frames.
+  /// boundary for latency attribution (obs/span.hpp). -1 for local frames.
   sim::Time delivered_at = -1;
   /// Not a wire field: link hops the carrying packet traversed (copied
   /// from Packet::hops by handle_rx); annotates captured spans.

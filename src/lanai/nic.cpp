@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/attr.hpp"
 #include "obs/span.hpp"
 
 namespace vnet::lanai {
@@ -351,19 +350,12 @@ sim::Task<bool> Nic::service_endpoint(EndpointState& ep) {
 
 sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   if (engine_->spans().enabled()) {
+    // First pickup only (repeat stamps are ignored): rebinds and later
+    // fragments attribute to the initial tx-service wait.
     engine_->spans().point(
         obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
                                desc.msg_id),
         obs::SpanPoint::kNicPickup, static_cast<std::int64_t>(engine_->now()));
-  }
-  if (engine_->attr().enabled()) {
-    // First pickup only (repeat stamps are ignored): rebinds and later
-    // fragments attribute to the initial tx-service wait.
-    engine_->attr().stamp(
-        obs::AttrRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
-                               desc.msg_id),
-        obs::Stage::kNicPickup, static_cast<std::int64_t>(engine_->now()),
-        static_cast<std::int64_t>(engine_->events_processed()));
   }
   // Resolve the destination: requests go through the translation table
   // (§3.1), replies directly to the requester.
@@ -570,17 +562,9 @@ sim::Task<bool> Nic::deliver_local(EndpointState& src, SendDescriptor& desc,
   entry.arrived_at = engine_->now();
   queue.push_back(std::move(entry));
   ++dst.msgs_delivered;
-  if (engine_->attr().enabled()) {
-    // Local delivery skips the wire boundaries; the flight keeps a gap.
-    engine_->attr().stamp(
-        obs::AttrRecorder::key(static_cast<std::uint32_t>(node_), src.id,
-                               desc.msg_id),
-        obs::Stage::kRxDeposit, static_cast<std::int64_t>(engine_->now()),
-        static_cast<std::int64_t>(engine_->events_processed()));
-  }
   if (engine_->spans().enabled()) {
-    // The span keeps the same gap; critical_path() charges the whole
-    // pickup→deposit interval to tx_service for local traffic.
+    // Local delivery skips the wire boundaries; critical_path() charges the
+    // whole pickup→deposit gap to tx_service for local traffic.
     engine_->spans().point(
         obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), src.id,
                                desc.msg_id),
@@ -598,8 +582,8 @@ sim::Task<> Nic::inject(Frame f) {
   const auto& route = routes[f.channel % routes.size()];
 
   const bool own_data = f.kind == FrameKind::kData && f.src_node == node_;
-  const EpId attr_ep = f.src_ep;
-  const std::uint64_t attr_msg = f.msg_id;
+  const EpId span_ep = f.src_ep;
+  const std::uint64_t span_msg = f.msg_id;
 
   myrinet::Packet p;
   p.src = node_;
@@ -612,19 +596,12 @@ sim::Task<> Nic::inject(Frame f) {
   while (!station_->can_inject()) {
     co_await station_->drained().wait();
   }
-  if (own_data && engine_->attr().enabled()) {
+  if (own_data && engine_->spans().enabled()) {
     // Stamped after the back-pressure wait: injection-queue stalls count
     // as NIC tx service, not as wire latency.
-    engine_->attr().stamp(
-        obs::AttrRecorder::key(static_cast<std::uint32_t>(node_), attr_ep,
-                               attr_msg),
-        obs::Stage::kWireInject, static_cast<std::int64_t>(engine_->now()),
-        static_cast<std::int64_t>(engine_->events_processed()));
-  }
-  if (own_data && engine_->spans().enabled()) {
     engine_->spans().point(
-        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), attr_ep,
-                               attr_msg),
+        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), span_ep,
+                               span_msg),
         obs::SpanPoint::kWireInject, static_cast<std::int64_t>(engine_->now()));
   }
   station_->inject(std::move(p));
@@ -772,23 +749,6 @@ sim::Task<> Nic::accept_fragment(EndpointState& ep, const Frame& f,
     ++ep.msgs_delivered;
     if (config_.reliable_transport) {
       ep.delivered_from[src_key(f.src_node, f.src_ep)].remember(f.msg_id);
-    }
-    if (engine_->attr().enabled()) {
-      const std::uint64_t k = obs::AttrRecorder::key(
-          static_cast<std::uint32_t>(f.src_node), f.src_ep, f.msg_id);
-      if (f.delivered_at >= 0) {
-        // The frame doesn't carry an event count from its delivery event,
-        // so both boundary counters are read here at deposit: the rx
-        // service events fold into the `wire` event column and `nic_rx`
-        // reads ~0 events (its *time* column is still exact).
-        engine_->attr().stamp(
-            k, obs::Stage::kWireDeliver,
-            static_cast<std::int64_t>(f.delivered_at),
-            static_cast<std::int64_t>(engine_->events_processed()));
-      }
-      engine_->attr().stamp(
-          k, obs::Stage::kRxDeposit, static_cast<std::int64_t>(engine_->now()),
-          static_cast<std::int64_t>(engine_->events_processed()));
     }
     if (engine_->spans().enabled()) {
       const std::uint64_t k = obs::SpanRecorder::key(

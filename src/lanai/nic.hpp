@@ -137,8 +137,6 @@ class Nic {
     return directory_.count(ep) != 0;
   }
 
-  // Debug introspection.
-  std::size_t pending_unload_count() const { return pending_unloads_.size(); }
   int busy_channel_count() const {
     int n = 0;
     for (const auto& [peer, chans] : channels_) {
@@ -148,10 +146,6 @@ class Nic {
     }
     return n;
   }
-  std::size_t resident_requested_count() const {
-    return resident_requested_.size();
-  }
-  std::size_t draining_count() const { return draining_.size(); }
 
   /// Unfinished send descriptors across every endpoint this NIC knows;
   /// exported as the `send_backlog` gauge the frame-loiter watchdog reads.

@@ -71,7 +71,7 @@ struct Packet {
   /// Stamped by each Channel at send time with the packet's computed
   /// arrival instant on that hop; after the last hop it is the delivery
   /// time at the destination station — the wire-stage boundary for latency
-  /// attribution (obs/attr.hpp). -1 until the packet first enters a link.
+  /// attribution (obs/span.hpp). -1 until the packet first enters a link.
   sim::Time delivered_at = -1;
   /// Link hops traversed so far (bumped alongside delivered_at); at the
   /// destination it annotates the wire stage of a captured span

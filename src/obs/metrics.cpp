@@ -13,16 +13,7 @@ namespace {
 
 constexpr std::uint32_t kSub = HistogramData::kSubBuckets;
 
-// Bucket 0 is [0,1); bucket 1 + m*kSub + s is
-// [2^m * (1 + s/kSub), 2^m * (1 + (s+1)/kSub)).
-std::size_t bucket_of(double x) {
-  if (x < 1.0) return 0;
-  const int m = std::ilogb(x);
-  auto s = static_cast<std::uint32_t>((std::ldexp(x, -m) - 1.0) * kSub);
-  if (s >= kSub) s = kSub - 1;  // guards x == 2^(m+1) rounding
-  return 1 + static_cast<std::size_t>(m) * kSub + s;
-}
-
+// Inverse of HistogramData::bucket_of: the [lo, hi) range of bucket b.
 double bucket_lo(std::size_t b) {
   if (b == 0) return 0.0;
   const std::size_t m = (b - 1) / kSub;
@@ -40,18 +31,18 @@ double bucket_hi(std::size_t b) {
 
 }  // namespace
 
-void HistogramData::record(double x) {
-  if (count == 0) {
-    min_seen = max_seen = x;
-  } else {
-    min_seen = std::min(min_seen, x);
-    max_seen = std::max(max_seen, x);
+void HistogramData::merge(const HistogramData& other) {
+  if (other.count == 0) return;
+  min_seen = count ? std::min(min_seen, other.min_seen) : other.min_seen;
+  max_seen = count ? std::max(max_seen, other.max_seen) : other.max_seen;
+  count += other.count;
+  sum += other.sum;
+  if (buckets.size() < other.buckets.size()) {
+    buckets.resize(other.buckets.size(), 0);
   }
-  ++count;
-  sum += x;
-  const std::size_t b = bucket_of(x);
-  if (buckets.size() <= b) buckets.resize(b + 1, 0);
-  ++buckets[b];
+  for (std::size_t b = 0; b < other.buckets.size(); ++b) {
+    buckets[b] += other.buckets[b];
+  }
 }
 
 double HistogramData::quantile(double q) const {

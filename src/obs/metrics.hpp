@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -73,7 +74,8 @@ class Gauge {
 /// every quantile — the bound that makes Sampler's p99/p99.9 columns
 /// trustworthy (the old pure-log2 buckets were ±50% at the tail).
 struct HistogramData {
-  static constexpr std::uint32_t kSubBuckets = 32;
+  static constexpr std::uint32_t kSubBits = 5;
+  static constexpr std::uint32_t kSubBuckets = 1u << kSubBits;
 
   std::uint64_t count = 0;
   double sum = 0.0;
@@ -81,7 +83,36 @@ struct HistogramData {
   double max_seen = 0.0;  ///< valid iff count > 0
   std::vector<std::uint64_t> buckets;
 
-  void record(double x);
+  /// Inline (with bucket_of): span capture records nine values per
+  /// committed message.
+  void record(double x) {
+    if (count == 0) {
+      min_seen = max_seen = x;
+    } else {
+      min_seen = x < min_seen ? x : min_seen;
+      max_seen = x > max_seen ? x : max_seen;
+    }
+    ++count;
+    sum += x;
+    const std::size_t b = bucket_of(x);
+    if (buckets.size() <= b) buckets.resize(b + 1, 0);
+    ++buckets[b];
+  }
+  /// Bucket 0 is [0,1); bucket 1 + m*kSubBuckets + s is
+  /// [2^m * (1 + s/kSubBuckets), 2^m * (1 + (s+1)/kSubBuckets)). For
+  /// x >= 1, m is the IEEE double's unbiased exponent and s its top
+  /// kSubBits mantissa bits, read from the bit pattern (an ilogb/ldexp pair
+  /// costs as much as the rest of record()).
+  static std::size_t bucket_of(double x) {
+    if (x < 1.0) return 0;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    const std::uint64_t m = ((bits >> 52) & 0x7ff) - 1023;
+    const std::uint64_t s = (bits >> (52 - kSubBits)) & (kSubBuckets - 1);
+    return 1 + m * kSubBuckets + s;
+  }
+  /// Folds `other` in: the result describes the union of both samples.
+  void merge(const HistogramData& other);
   double mean() const { return count ? sum / static_cast<double>(count) : 0; }
   /// Quantile estimate (q in [0,1]): rank-interpolated within the owning
   /// sub-bucket and clamped to [min_seen, max_seen]. An empty (or

@@ -77,7 +77,8 @@ std::array<std::int64_t, kSpanStageCount> SpanTrace::critical_path() const {
 // ------------------------------------------------------------- SpanRecorder
 
 SpanRecorder::SpanRecorder(MetricsRegistry& reg)
-    : tracked_c_(reg.counter("obs.span.tracked")),
+    : reg_(&reg),
+      tracked_c_(reg.counter("obs.span.tracked")),
       completed_c_(reg.counter("obs.span.completed")),
       overwritten_c_(reg.counter("obs.span.overwritten")),
       returned_c_(reg.counter("obs.span.returned")) {}
@@ -242,6 +243,7 @@ void SpanRecorder::drop_slow(std::uint64_t k, std::int64_t t_ns,
 void SpanRecorder::commit(SpanTrace&& t) {
   const std::uint64_t rk = (static_cast<std::uint64_t>(t.node) << 32) | t.ep;
   EpRing& r = rings_[rk];
+  if (t.complete && !t.returned) fold(r, t);
   if (r.ring.size() < ring_capacity_) {
     r.ring.push_back(std::move(t));
     return;
@@ -250,6 +252,27 @@ void SpanRecorder::commit(SpanTrace&& t) {
   r.head = (r.head + 1) % ring_capacity_;
   ++overwritten_;
   overwritten_c_.inc();
+}
+
+void SpanRecorder::fold(EpRing& r, const SpanTrace& t) {
+  // Handles are bound on the endpoint's first fold (an unbound or
+  // never-recorded handle counts 0; registration is idempotent), so only
+  // endpoints with completed traces get histograms.
+  if (r.e2e.count() == 0) {
+    const std::string prefix = "host." + std::to_string(t.node) + ".ep." +
+                               std::to_string(t.ep) + ".span.";
+    for (unsigned i = 0; i < kSpanStageCount; ++i) {
+      r.stage[i] = reg_->histogram(prefix + kStageNames[i]);
+    }
+    r.e2e = reg_->histogram(prefix + "e2e");
+  }
+  // Every stage is recorded (0 where the message skipped it, e.g. the wire
+  // for local delivery), so per-stage means sum exactly to the e2e mean.
+  const auto cp = t.critical_path();
+  for (unsigned i = 0; i < kSpanStageCount; ++i) {
+    r.stage[i].record(static_cast<double>(cp[i]));
+  }
+  r.e2e.record(static_cast<double>(t.e2e_ns()));
 }
 
 std::vector<SpanTrace> SpanRecorder::collect() const {
@@ -269,6 +292,65 @@ void SpanRecorder::clear() {
   flight_fill_ = 0;
   rings_.clear();
   live_.fill(0);
+}
+
+// -------------------------------------------------------- stage summary
+
+double SpanStageSummary::stage_sum_mean_ns() const {
+  double s = 0;
+  for (const HistogramData& h : stages) s += h.mean();
+  return s;
+}
+
+SpanStageSummary summarize_span_stages(const Snapshot& snap) {
+  SpanStageSummary out;
+  for (const auto& [name, data] : snap.histograms) {
+    const std::size_t pos = name.find(".span.");
+    if (pos == std::string::npos) continue;
+    const std::string leaf = name.substr(pos + 6);
+    if (leaf == "e2e") {
+      out.e2e.merge(data);
+      continue;
+    }
+    for (unsigned i = 0; i < kSpanStageCount; ++i) {
+      if (leaf == kStageNames[i]) {
+        out.stages[i].merge(data);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+std::string render_span_stages(const Snapshot& snap) {
+  const SpanStageSummary s = summarize_span_stages(snap);
+  if (s.e2e.count == 0) return {};
+  std::string out;
+  char line[192];
+  std::snprintf(line, sizeof(line), "%-14s %8s %9s %9s %9s %9s\n", "stage",
+                "count", "mean_us", "p50_us", "p95_us", "max_us");
+  out += line;
+  auto row = [&](const char* name, const HistogramData& h) {
+    std::snprintf(line, sizeof(line),
+                  "%-14s %8llu %9.3f %9.3f %9.3f %9.3f\n", name,
+                  static_cast<unsigned long long>(h.count), h.mean() / 1e3,
+                  h.quantile(0.5) / 1e3, h.quantile(0.95) / 1e3,
+                  h.max_seen / 1e3);
+    out += line;
+  };
+  for (unsigned i = 0; i < kSpanStageCount; ++i) {
+    row(kStageNames[i], s.stages[i]);
+  }
+  row("e2e", s.e2e);
+  const double sum = s.stage_sum_mean_ns();
+  const double e2e = s.e2e.mean();
+  const double delta = e2e > 0 ? (sum - e2e) / e2e * 100.0 : 0.0;
+  std::snprintf(line, sizeof(line),
+                "stage sum of means %.3f us vs measured e2e mean %.3f us "
+                "(delta %+.2f%%)\n",
+                sum / 1e3, e2e / 1e3, delta);
+  out += line;
+  return out;
 }
 
 // -------------------------------------------------------------- TailReport

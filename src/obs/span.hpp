@@ -10,18 +10,19 @@
 
 namespace vnet::obs {
 
-/// Causal span capture (DESIGN.md §12).
+/// Causal span capture and per-message latency attribution (DESIGN.md §8,
+/// §12).
 ///
-/// AttrRecorder (attr.hpp) folds each pipeline boundary into an independent
-/// per-stage histogram — good for aggregate LogP decomposition, useless for
-/// asking "which stage made *this* slow message slow", because the
-/// per-stage marginals lose the per-message joint. SpanRecorder keeps the
-/// joint: each sampled message carries its full ordered boundary vector
-/// (plus retransmission / return-to-sender edges) as one SpanTrace, parked
-/// in a fixed-size per-endpoint ring. The analysis layer on top —
-/// critical-path extraction and the differential tail profiler — is what
-/// ROADMAP item 3's p99/p99.9 reporting and item 1's events-per-message
-/// hunt both read from.
+/// Each sampled message carries its full ordered boundary vector (plus
+/// retransmission / return-to-sender edges) as one SpanTrace, parked in a
+/// fixed-size per-endpoint ring. Keeping the per-message joint is what
+/// lets the differential tail profiler ask "which stage made *this* slow
+/// message slow". The aggregate view is a by-product: every complete,
+/// non-returned trace also folds its critical-path stages and end-to-end
+/// time into per-source-endpoint registry histograms
+/// `host.<node>.ep.<ep>.span.<stage>` / `.span.e2e`, which the Fig 3 LogP
+/// stage table (render_span_stages) and the Sampler's percentile columns
+/// read.
 ///
 /// The span model is a degenerate DAG: one root span per message whose
 /// children are the eight pipeline stages chained parent→child in boundary
@@ -35,12 +36,11 @@ namespace vnet::obs {
 /// obs depends on nothing above it: timestamps are plain nanosecond
 /// integers supplied by the stamping layers (am, lanai, myrinet), and the
 /// recorder is reached through sim::Engine (which owns one next to the
-/// AttrRecorder).
+/// MetricsRegistry).
 
-/// The nine pipeline boundaries of one message, in causal order. This is
-/// attr.hpp's eight-boundary set plus kGateOpen, which splits the old
-/// opaque doorbell→pickup gap into doorbell-coalesce wait vs. tx queue
-/// wait — the two queues PR 7's batching introduced.
+/// The nine pipeline boundaries of one message, in causal order. kGateOpen
+/// splits the doorbell→pickup gap into doorbell-coalesce wait vs. tx queue
+/// wait — the two queues of the batched datapath.
 enum class SpanPoint : unsigned {
   kEnqueue = 0,  ///< application began writing the send descriptor
   kDoorbell,     ///< host finished the descriptor write and rang the NIC
@@ -109,7 +109,8 @@ struct SpanTrace {
 
 /// Flight recorder for spans: admission via a 1-in-N sampling knob,
 /// first-wins boundary stamps (retransmission-safe), completed traces
-/// committed to a fixed-size overwrite-oldest ring per source endpoint.
+/// committed to a fixed-size overwrite-oldest ring per source endpoint and
+/// folded into that endpoint's `span.*` histograms.
 class SpanRecorder {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 256;
@@ -136,8 +137,9 @@ class SpanRecorder {
   void set_ring_capacity(std::size_t n);
   std::size_t ring_capacity() const { return ring_capacity_; }
 
-  /// Same packed flight key as AttrRecorder::key, so stamp sites compute
-  /// it once and feed both recorders.
+  /// Flight key. Node ids and endpoint ids are small in any simulated
+  /// cluster (< 2^16) and per-endpoint message ids stay well under 2^32,
+  /// so the triple packs losslessly into 64 bits.
   static std::uint64_t key(std::uint32_t src_node, std::uint32_t src_ep,
                            std::uint64_t msg_id) {
     return (static_cast<std::uint64_t>(src_node & 0xffffu) << 48) |
@@ -184,15 +186,16 @@ class SpanRecorder {
     if (live_[filter_bucket(k)] != 0) hops_slow(k, hops);
   }
 
-  /// Final boundary: stamps kHandlerDone and commits the trace to its
-  /// source endpoint's ring.
+  /// Final boundary: stamps kHandlerDone, commits the trace to its source
+  /// endpoint's ring and folds it into the endpoint's histograms.
   void finish(std::uint64_t k, std::int64_t t_ns) {
     if (live_[filter_bucket(k)] != 0) finish_slow(k, t_ns);
   }
 
   /// Transport returned the message to its sender: records the edge and
-  /// commits the (incomplete, returned) trace — unlike AttrRecorder the
-  /// tail profiler *wants* these, they explain tail mass.
+  /// commits the (incomplete, returned) trace to the ring — the tail
+  /// profiler wants these, they explain tail mass — without folding it into
+  /// the latency histograms (it never reached a handler).
   void drop_returned(std::uint64_t k, std::int64_t t_ns,
                      std::int32_t reason = 0) {
     if (live_[filter_bucket(k)] != 0) drop_slow(k, t_ns, reason);
@@ -215,6 +218,8 @@ class SpanRecorder {
   struct EpRing {
     std::vector<SpanTrace> ring;
     std::size_t head = 0;  ///< oldest slot once the ring is full
+    std::array<Histogram, kSpanStageCount> stage;  ///< `span.<stage>`
+    Histogram e2e;                                 ///< `span.e2e`
   };
 
   /// In-flight storage: open-addressed, power-of-two flat table with
@@ -229,8 +234,8 @@ class SpanRecorder {
   };
 
   static constexpr std::size_t kInitialFlightSlots = 256;
-  /// Messages sent but never finished would otherwise accumulate; cap the
-  /// in-flight table like AttrRecorder does.
+  /// Messages sent but never finished (returns, GAM drops, still-running
+  /// workloads) would otherwise accumulate; cap the in-flight table.
   static constexpr std::size_t kMaxInflight = 1 << 16;
 
   bool begin_slow(std::uint32_t src_node, std::uint32_t src_ep,
@@ -247,6 +252,7 @@ class SpanRecorder {
   void erase_flight(Flight& f);
   void rehash_flights(std::size_t new_slots);
   void commit(SpanTrace&& t);
+  void fold(EpRing& r, const SpanTrace& t);
 
   std::size_t hash_slot(std::uint64_t k) const {
     return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
@@ -261,6 +267,7 @@ class SpanRecorder {
     return static_cast<unsigned>((k * 0x9E3779B97F4A7C15ull) >> 58);
   }
 
+  MetricsRegistry* reg_;
   std::uint32_t interval_ = 0;
   std::uint32_t skip_left_ = 0;  ///< messages until the next admission
   std::size_t ring_capacity_ = kDefaultRingCapacity;
@@ -275,6 +282,25 @@ class SpanRecorder {
   std::size_t flight_fill_ = 0;    ///< live + tombstone entries
   std::map<std::uint64_t, EpRing> rings_;  ///< keyed (node<<32)|ep, ordered
 };
+
+/// Cluster-wide stage summary extracted from a Snapshot: each `span.<stage>`
+/// histogram merged across every endpoint, in pipeline order.
+struct SpanStageSummary {
+  std::array<HistogramData, kSpanStageCount> stages;
+  HistogramData e2e;
+
+  /// Sum of per-stage means. Every folded trace records all stages, and
+  /// critical-path stages telescope to e2e, so this equals e2e.mean().
+  double stage_sum_mean_ns() const;
+};
+
+SpanStageSummary summarize_span_stages(const Snapshot& snap);
+
+/// The Fig 3 LogP stage table: per-stage count/mean/p50/p95/max (in
+/// microseconds) followed by the stage-sum vs measured end-to-end
+/// reconciliation line. Returns "" if the snapshot holds no span
+/// histograms.
+std::string render_span_stages(const Snapshot& snap);
 
 /// One row of the differential culprit table.
 struct TailStageRow {

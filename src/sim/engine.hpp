@@ -5,7 +5,6 @@
 #include <functional>
 #include <unordered_set>
 
-#include "obs/attr.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -172,15 +171,10 @@ class Engine {
   /// Simulated-time tracer; its clock is this engine's clock.
   obs::Tracer& tracer() { return tracer_; }
 
-  /// Per-message latency attribution recorder (see obs/attr.hpp). Disabled
-  /// by default; stamp sites throughout the stack cost one branch until
-  /// attr().set_sample_interval(n) turns tracking on.
-  obs::AttrRecorder& attr() { return attr_; }
-
-  /// Per-message causal span recorder (see obs/span.hpp). Disabled by
-  /// default; the same stamp sites that feed attr() also feed this, at the
-  /// cost of one branch each until spans().set_sample_interval(n) turns
-  /// tracking on.
+  /// Per-message causal span recorder (see obs/span.hpp), the one source
+  /// of per-message latency attribution. Disabled by default; stamp sites
+  /// throughout the stack cost one branch each until
+  /// spans().set_sample_interval(n) turns tracking on.
   obs::SpanRecorder& spans() { return spans_; }
   const obs::SpanRecorder& spans() const { return spans_; }
 
@@ -217,7 +211,6 @@ class Engine {
   EventQueue queue_;
   Rng rng_;
   obs::MetricsRegistry metrics_;
-  obs::AttrRecorder attr_{metrics_};
   obs::SpanRecorder spans_{metrics_};
   obs::Tracer tracer_;
   std::unordered_set<void*> processes_;

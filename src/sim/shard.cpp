@@ -128,22 +128,7 @@ obs::Snapshot ShardGroup::merged_snapshot() const {
     for (const auto& [name, v] : snap.gauges) out.gauges[name] += v;
     for (const auto& [name, h] : snap.histograms) {
       auto [it, fresh] = out.histograms.try_emplace(name, h);
-      if (fresh) continue;
-      obs::HistogramData& acc = it->second;
-      if (h.count > 0) {
-        acc.min_seen = acc.count ? std::min(acc.min_seen, h.min_seen)
-                                 : h.min_seen;
-        acc.max_seen = acc.count ? std::max(acc.max_seen, h.max_seen)
-                                 : h.max_seen;
-      }
-      acc.count += h.count;
-      acc.sum += h.sum;
-      if (acc.buckets.size() < h.buckets.size()) {
-        acc.buckets.resize(h.buckets.size(), 0);
-      }
-      for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-        acc.buckets[b] += h.buckets[b];
-      }
+      if (!fresh) it->second.merge(h);
     }
   }
   return out;

@@ -1,19 +1,22 @@
-// Tests for the causal span stack (DESIGN.md §12): the SpanRecorder flight
-// recorder and its per-endpoint rings, critical-path extraction (stage sums
-// telescope to e2e even with missing boundaries), the differential tail
-// profiler's cohort math and rendering, and the end-to-end capture of a
-// real ping-pong run.
+// Tests for the causal span stack (DESIGN.md §8, §12): the SpanRecorder
+// flight recorder, its per-endpoint rings and `span.*` histograms,
+// critical-path extraction (stage sums telescope to e2e even with missing
+// boundaries), the differential tail profiler's cohort math and rendering,
+// and the end-to-end capture of real ping-pong and bandwidth runs.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/bandwidth.hpp"
 #include "apps/logp.hpp"
 #include "cluster/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/time.hpp"
 
 namespace vnet::obs {
 namespace {
@@ -154,6 +157,57 @@ TEST(Span, ReturnedTraceIsCommittedAndFlagged) {
   EXPECT_EQ(traces[0].edges[0].kind, SpanEdge::Kind::kReturnToSender);
   EXPECT_EQ(traces[0].edges[0].arg, 2);
   EXPECT_EQ(reg.snapshot().counter("obs.span.returned"), 1u);
+  // It never reached a handler, so it folds into no latency histogram.
+  EXPECT_EQ(reg.snapshot().histogram("host.0.ep.3.span.e2e"), nullptr);
+  EXPECT_EQ(render_span_stages(reg.snapshot()), "");
+}
+
+// ------------------------------------------------- endpoint histograms
+
+// Stamps boundary i at at[i] (skipping negative entries) and finishes.
+void fly(SpanRecorder& rec, std::uint32_t node, std::uint32_t ep,
+         std::uint64_t id, const std::array<std::int64_t, kSpanPointCount>& at) {
+  const std::uint64_t k = SpanRecorder::key(node, ep, id);
+  ASSERT_TRUE(rec.begin(node, ep, id, at[0]));
+  for (unsigned i = 1; i + 1 < kSpanPointCount; ++i) {
+    if (at[i] >= 0) rec.point(k, static_cast<SpanPoint>(i), at[i]);
+  }
+  rec.finish(k, at[kSpanPointCount - 1]);
+}
+
+TEST(Span, FoldsCompleteTraceIntoEndpointHistograms) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+  fly(rec, 3, 7, 42, {1000, 1100, 1120, 1150, 1400, 1900, 2200, 2300, 2550});
+  // Local delivery on another endpoint: no wire boundaries, so
+  // pickup->deposit charges to tx_service and the wire stage records 0.
+  fly(rec, 3, 8, 1, {0, 30, 30, 60, -1, -1, 200, 230, 350});
+
+  const Snapshot snap = reg.snapshot(3000);
+  const std::pair<const char*, double> wants[] = {
+      {"host_enqueue", 100}, {"doorbell_gate", 20}, {"tx_queue", 30},
+      {"tx_service", 250},   {"wire", 500},         {"rx_service", 300},
+      {"wake", 100},         {"handler", 250},      {"e2e", 1550}};
+  for (const auto& [leaf, mean] : wants) {
+    const HistogramData* h =
+        snap.histogram(std::string("host.3.ep.7.span.") + leaf);
+    ASSERT_NE(h, nullptr) << leaf;
+    EXPECT_EQ(h->count, 1u) << leaf;
+    EXPECT_DOUBLE_EQ(h->mean(), mean) << leaf;
+  }
+
+  // Merged across endpoints, every stage counts both messages and the
+  // stage means sum exactly to the e2e mean.
+  const SpanStageSummary sum = summarize_span_stages(snap);
+  for (unsigned i = 0; i < kSpanStageCount; ++i) {
+    EXPECT_EQ(sum.stages[i].count, 2u) << span_stage_name(i);
+  }
+  EXPECT_DOUBLE_EQ(sum.stages[4].mean(), 250.0);  // wire: (500 + 0) / 2
+  EXPECT_DOUBLE_EQ(sum.e2e.mean(), 950.0);
+  EXPECT_DOUBLE_EQ(sum.stage_sum_mean_ns(), sum.e2e.mean());
+  EXPECT_NE(render_span_stages(snap).find("(delta +0.00%)"),
+            std::string::npos);
 }
 
 // --------------------------------------------------------- critical path
@@ -316,6 +370,45 @@ TEST(SpanIntegration, LogpRunCapturesAndReconcilesTailProfile) {
   // construction, so in practice ~0).
   EXPECT_LE(r.tail_recon_p50, 0.05);
   EXPECT_LE(r.tail_recon_tail, 0.05);
+}
+
+// The Fig 3 stage table: a pure ping-pong run, every flight tracked, must
+// decompose the one-way latency into stages whose sum reconciles with the
+// end-to-end mean, and two one-way flights must reconcile with the
+// independently measured round trip within 5%.
+TEST(SpanIntegration, LogpStageTableIsDeterministicAndReconciles) {
+  const apps::LogpResult a = apps::measure_logp(
+      cluster::NowConfig(2), /*pingpongs=*/300, /*stream=*/0, true);
+  const apps::LogpResult b = apps::measure_logp(
+      cluster::NowConfig(2), /*pingpongs=*/300, /*stream=*/0, true);
+
+  // Same seed, same config: bit-identical stage table.
+  EXPECT_EQ(a.stage_report, b.stage_report);
+  EXPECT_DOUBLE_EQ(a.stage_e2e_us, b.stage_e2e_us);
+  EXPECT_DOUBLE_EQ(a.stage_sum_us, b.stage_sum_us);
+
+  ASSERT_GT(a.stage_e2e_us, 0.0);
+  EXPECT_NEAR(a.stage_sum_us, a.stage_e2e_us, 0.01 * a.stage_e2e_us);
+  EXPECT_NEAR(2.0 * a.stage_e2e_us, a.rtt_us, 0.05 * a.rtt_us);
+  for (unsigned i = 0; i < kSpanStageCount; ++i) {
+    EXPECT_NE(a.stage_report.find(span_stage_name(i)), std::string::npos)
+        << span_stage_name(i);
+  }
+  EXPECT_NE(a.stage_report.find("e2e"), std::string::npos);
+}
+
+// With the sampler and span capture on, the bandwidth CSV carries the
+// per-endpoint span percentile columns used for band plots.
+TEST(SpanIntegration, BandwidthCsvCarriesSpanPercentileColumns) {
+  const apps::BandwidthResult r =
+      apps::measure_bandwidth(cluster::NowConfig(2), {512}, 40, 4,
+                              /*sample_period=*/100 * sim::us,
+                              /*span_sample_interval=*/1);
+  const std::string header =
+      r.timeseries_csv.substr(0, r.timeseries_csv.find('\n'));
+  EXPECT_NE(header.find("host.0.ep.1.span.e2e.p99"), std::string::npos)
+      << header;
+  EXPECT_NE(header.find("host.0.ep.1.span.wire.p50"), std::string::npos);
 }
 
 TEST(SpanIntegration, SameSeedRunsProduceIdenticalTailReports) {
