@@ -9,6 +9,9 @@
 #include <set>
 #include <vector>
 
+#include "am/endpoint.hpp"
+#include "cluster/cluster.hpp"
+#include "cluster/config.hpp"
 #include "lanai/config.hpp"
 #include "lanai/endpoint_state.hpp"
 #include "lanai/frame.hpp"
@@ -28,9 +31,14 @@ std::uint32_t frag_count_for(std::uint32_t bulk_bytes, const NicConfig& cfg) {
 class NicTest : public ::testing::Test {
  public:
   void build(int nodes, NicConfig cfg = {}, myrinet::FabricParams fp = {}) {
+    build_on(myrinet::Fabric::crossbar(eng_, nodes, fp), cfg);
+  }
+
+  /// Starts one NIC per host of `fabric`.
+  void build_on(std::unique_ptr<myrinet::Fabric> fabric, NicConfig cfg = {}) {
     cfg_ = cfg;
-    fabric_ = myrinet::Fabric::crossbar(eng_, nodes, fp);
-    for (myrinet::NodeId n = 0; n < nodes; ++n) {
+    fabric_ = std::move(fabric);
+    for (myrinet::NodeId n = 0; n < fabric_->num_hosts(); ++n) {
       nics_.push_back(std::make_unique<Nic>(eng_, *fabric_, n, cfg));
       nics_.back()->start();
     }
@@ -887,6 +895,244 @@ TEST_F(NicTest, BurstBoundaryPreservesPerChannelFifo) {
         << "message " << i << " out of order";
   }
   EXPECT_EQ(nic_counter(1, "duplicates_suppressed"), 0u);
+}
+
+// ------------------------------------------------------- §5.1 rebind order
+
+// Dead spine (§5.1): channels are statically bound to routes, so a message
+// unbound from a channel whose route is dead must rebind on the channel
+// after the rotating cursor, not on the same (or the lowest free) one.
+// Host 0 and host 1 sit on different leaves of a 3-spine fat-tree; channel
+// c rides spine (1 + c) % 3, and spines 1 and 2 are cut, so only channels
+// 2 and 5 (of 6) deliver. Each message must walk the rotation exactly.
+TEST_F(NicTest, DeadSpineRebindsOnNextChannelAfterCursor) {
+  NicConfig cfg;
+  cfg.channels_per_peer = 6;
+  cfg.retransmit_timeout = 100 * sim::us;
+  cfg.retransmit_unbind_limit = 2;
+  cfg.max_backoff_exponent = 1;
+  build_on(myrinet::Fabric::fat_tree(eng_, 2, /*hosts_per_leaf=*/1,
+                                     /*spines=*/3),
+           cfg);
+  ASSERT_EQ(fabric_->routes(0, 1).size(), 3u);
+  fabric_->set_trunk_link(0, 1, false);
+  fabric_->set_trunk_link(0, 2, false);
+  auto* src = make_ep(0, 1, 0, 0);
+  auto* dst = make_ep(1, 2, 0, 0);
+  map(src, 0, 1, 2, 0);
+
+  // Record the channel of every data frame the receiver accepts.
+  std::vector<std::uint16_t> delivered_on;
+  auto& st = fabric_->station(1);
+  auto inner = std::move(st.on_receive);
+  st.on_receive = [&, inner = std::move(inner)](myrinet::Packet p) mutable {
+    if (auto* f = dynamic_cast<Frame*>(p.payload.get());
+        f != nullptr && f->kind == FrameKind::kData) {
+      delivered_on.push_back(f->channel);
+    }
+    inner(std::move(p));
+  };
+
+  // Message 1: ch0 (dead) -> ch1 (dead) -> ch2. Message 2 starts after the
+  // cursor: ch3 -> ch4 -> ch5. Message 3 wraps: ch0 -> ch1 -> ch2.
+  const std::uint16_t want[] = {2, 5, 2};
+  for (int m = 0; m < 3; ++m) {
+    post_request(src, 0, 1, static_cast<std::uint64_t>(m));
+    eng_.run();
+    ASSERT_EQ(dst->msgs_delivered, static_cast<std::uint64_t>(m + 1));
+    ASSERT_EQ(delivered_on.size(), static_cast<std::size_t>(m + 1));
+    EXPECT_EQ(delivered_on.back(), want[m]) << "message " << m;
+    EXPECT_EQ(nic_counter(0, "channel_unbinds"),
+              static_cast<std::uint64_t>(2 * (m + 1)));
+  }
+}
+
+// ------------------------------------------------- schedule-identity guard
+//
+// The firmware's bookkeeping (which endpoint to serve, which channel to
+// bind, which fragment to send next) is host-side data structure work: it
+// must never change the simulated schedule. These cases pin the replay
+// digest, the event count and the transport counters of three scenarios
+// that walk the blocked-channel, drain/unload/reload and reboot/unbind
+// transitions. Any change to them is a change of simulated behavior.
+
+struct ScheduleFingerprint {
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+  std::uint64_t data_sent = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t channel_unbinds = 0;
+};
+
+ScheduleFingerprint fingerprint(cluster::Cluster& cl) {
+  ScheduleFingerprint fp;
+  fp.digest = cl.replay_digest();
+  fp.events = cl.events_processed();
+  const auto snap = cl.merged_snapshot();
+  for (int n = 0; n < cl.size(); ++n) {
+    const std::string p = "host." + std::to_string(n) + ".nic.";
+    fp.data_sent += snap.counter(p + "data_sent");
+    fp.retransmissions += snap.counter(p + "retransmissions");
+    fp.channel_unbinds += snap.counter(p + "channel_unbinds");
+  }
+  return fp;
+}
+
+void expect_fingerprint(const ScheduleFingerprint& got,
+                        const ScheduleFingerprint& want) {
+  EXPECT_EQ(got.digest, want.digest) << std::hex << "0x" << got.digest;
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.data_sent, want.data_sent);
+  EXPECT_EQ(got.retransmissions, want.retransmissions);
+  EXPECT_EQ(got.channel_unbinds, want.channel_unbinds);
+}
+
+// (a) 8 hosts, every rank sends one 125,000-byte request to every other:
+// 31 fragments per message against 24 channels per peer, so senders run
+// into the all-channels-busy path on every message.
+TEST(ScheduleIdentity, AllToAllBulkBlocksOnChannels) {
+  cluster::Cluster cl(cluster::NowConfig(8));
+  const int n = cl.size();
+  std::vector<am::Name> names(static_cast<std::size_t>(n));
+  std::vector<int> received(static_cast<std::size_t>(n), 0);
+  auto ready = [&] {
+    for (const auto& nm : names) {
+      if (!nm.valid()) return false;
+    }
+    return true;
+  };
+  for (int r = 0; r < n; ++r) {
+    cl.spawn_thread(r, "rank", [&, r](host::HostThread& t) -> sim::Task<> {
+      auto ep = co_await am::Endpoint::create(t, 70 + r);
+      ep->set_handler(1, [&, r](am::Endpoint&, const am::Message&) {
+        ++received[static_cast<std::size_t>(r)];
+      });
+      names[static_cast<std::size_t>(r)] = ep->name();
+      while (!ready()) co_await t.sleep(20 * sim::us);
+      for (int p = 0; p < n; ++p) {
+        ep->map(static_cast<std::uint32_t>(p), names[static_cast<std::size_t>(p)]);
+      }
+      for (int k = 1; k < n; ++k) {
+        const int p = (r + k) % n;
+        co_await ep->request_bulk(t, static_cast<std::uint32_t>(p), 1,
+                                  125'000);
+      }
+      while (received[static_cast<std::size_t>(r)] < n - 1 ||
+             ep->credits_in_use() > 0) {
+        co_await ep->poll(t, 16);
+        co_await t.compute(500);
+      }
+    });
+  }
+  cl.run_to_completion();
+  for (int r = 0; r < n; ++r) {
+    EXPECT_EQ(received[static_cast<std::size_t>(r)], n - 1) << "rank " << r;
+  }
+  const auto fp = fingerprint(cl);
+  // 56 requests of 31 fragments, each answered by a one-frame credit reply.
+  EXPECT_EQ(fp.data_sent, 56u * (31 + 1));
+  EXPECT_EQ(fp.retransmissions, 0u);
+  expect_fingerprint(fp, {0x265698ee85dc1b53, 425001, 1792, 0, 0});
+}
+
+// (b) One server NIC with 2 endpoint frames and 4 server endpoints, each
+// answering its own client: the segment driver keeps unloading endpoints
+// with replies in flight (drain), and arrivals reload them.
+TEST(ScheduleIdentity, FrameThrashDrainsUnloadsAndReloads) {
+  auto cfg = cluster::NowConfig(5);
+  cfg.nic.endpoint_frames = 2;
+  cluster::Cluster cl(cfg);
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 120;
+  std::vector<am::Name> names(kClients);
+  std::vector<int> served(kClients, 0), answered(kClients, 0);
+  for (int c = 0; c < kClients; ++c) {
+    cl.spawn_thread(0, "server", [&, c](host::HostThread& t) -> sim::Task<> {
+      auto ep = co_await am::Endpoint::create(t, 500 + c);
+      ep->set_handler(1, [&, c](am::Endpoint&, const am::Message& m) {
+        ++served[static_cast<std::size_t>(c)];
+        m.reply(2, {m.arg(0)}, 2048);
+      });
+      names[static_cast<std::size_t>(c)] = ep->name();
+      while (served[static_cast<std::size_t>(c)] < kPerClient) {
+        co_await ep->wait_events(t, am::kEventArrivals);
+        co_await ep->poll(t, 8);
+      }
+      co_await t.sleep(3 * sim::ms);  // let the last replies complete
+    });
+    cl.spawn_thread(1 + c, "client",
+                    [&, c](host::HostThread& t) -> sim::Task<> {
+                      auto ep = co_await am::Endpoint::create(t, 600 + c);
+                      ep->set_handler(2, [&, c](am::Endpoint&,
+                                                const am::Message&) {
+                        ++answered[static_cast<std::size_t>(c)];
+                      });
+                      while (!names[static_cast<std::size_t>(c)].valid()) {
+                        co_await t.sleep(20 * sim::us);
+                      }
+                      ep->map(0, names[static_cast<std::size_t>(c)]);
+                      for (int i = 0; i < kPerClient; ++i) {
+                        co_await ep->request(t, 0, 1,
+                                             static_cast<std::uint64_t>(i));
+                      }
+                      while (ep->credits_in_use() > 0) {
+                        co_await ep->wait_events(t, am::kEventArrivals);
+                        co_await ep->poll(t, 16);
+                      }
+                    });
+  }
+  cl.run_to_completion();
+  const auto snap = cl.merged_snapshot();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(served[static_cast<std::size_t>(c)], kPerClient);
+    EXPECT_EQ(answered[static_cast<std::size_t>(c)], kPerClient);
+  }
+  EXPECT_GT(snap.counter("host.0.nic.frames_unloaded"), 0u);
+  EXPECT_GT(snap.counter("host.0.nic.frames_loaded"), 4u);
+  expect_fingerprint(fingerprint(cl), {0x352b069fc26a70f7, 26197, 964, 249, 4});
+}
+
+// (c) Bulk transfers across a fat-tree with one dead spine trunk (stuck
+// channels unbind and rebind elsewhere, §5.1) while the sender's NIC and
+// then the receiver's reboot mid-transfer (in-flight fragments go back to
+// unsent, epochs resynchronize).
+TEST(ScheduleIdentity, RebootMidBulkAndStuckChannelUnbind) {
+  auto cfg = cluster::NowConfig(10);  // 2 leaves x 5 hosts, 3 spines
+  cfg.nic.retransmit_timeout = 200 * sim::us;
+  cfg.nic.retransmit_unbind_limit = 3;
+  cfg.nic.max_backoff_exponent = 2;
+  cluster::Cluster cl(cfg);
+  cl.fabric().set_trunk_link(0, 1, false);
+  am::Name server;
+  int delivered = 0;
+  constexpr int kMsgs = 6;
+  cl.spawn_thread(5, "recv", [&](host::HostThread& t) -> sim::Task<> {
+    auto ep = co_await am::Endpoint::create(t, 11);
+    ep->set_handler(1, [&](am::Endpoint&, const am::Message&) { ++delivered; });
+    server = ep->name();
+    while (delivered < kMsgs) {
+      co_await ep->wait_events(t, am::kEventArrivals);
+      co_await ep->poll(t, 8);
+    }
+    co_await t.sleep(5 * sim::ms);
+  });
+  cl.spawn_thread(0, "send", [&](host::HostThread& t) -> sim::Task<> {
+    auto ep = co_await am::Endpoint::create(t, 12);
+    while (!server.valid()) co_await t.sleep(20 * sim::us);
+    ep->map(0, server);
+    for (int i = 0; i < kMsgs; ++i) {
+      co_await ep->request_bulk(t, 0, 1, 48'000);
+    }
+    while (ep->credits_in_use() > 0) co_await ep->poll(t);
+  });
+  cl.engine().at(1500 * sim::us, [&] { cl.host(0).nic().reboot(); });
+  cl.engine().at(2600 * sim::us, [&] { cl.host(5).nic().reboot(); });
+  cl.run_to_completion();
+  EXPECT_EQ(delivered, kMsgs);
+  const auto fp = fingerprint(cl);
+  EXPECT_GT(fp.channel_unbinds, 0u);
+  EXPECT_GT(fp.retransmissions, 0u);
+  expect_fingerprint(fp, {0xac5ea6d0de4730, 39044, 105, 107, 20});
 }
 
 }  // namespace
