@@ -167,7 +167,7 @@ std::uint32_t Endpoint::pending_events(std::uint32_t mask) const {
 bool Endpoint::send_space_available() const {
   const auto depth =
       static_cast<std::size_t>(host_->nic().config().send_queue_depth);
-  return state_->send_queue.size() < depth &&
+  return state_->send_queue().size() < depth &&
          (!flow_control_ || outstanding_requests_ < credit_limit_);
 }
 
@@ -264,7 +264,7 @@ sim::Task<> Endpoint::send_common(host::HostThread& t,
   // a spin iteration costs engine events, and at steady state every send
   // stalls once per message.
   bool stalled = false;
-  while (state_->send_queue.size() >= depth ||
+  while (state_->send_queue().size() >= depth ||
          (is_request && flow_control_ &&
           outstanding_requests_ >= credit_limit_)) {
     if (!stalled) {
@@ -324,7 +324,7 @@ sim::Task<> Endpoint::send_common(host::HostThread& t,
       obs::SpanRecorder::key(node, state_->id, desc.msg_id);
   const bool span_tracked = spans.begin(node, state_->id, desc.msg_id,
                                         static_cast<std::int64_t>(enq_at));
-  state_->send_queue.push_back(std::move(desc));
+  state_->enqueue(std::move(desc));
   if (is_request) {
     ++outstanding_requests_;
     counters_.requests_sent.inc();
@@ -475,7 +475,7 @@ sim::Task<> Endpoint::enqueue_reply_locked(host::HostThread& t,
   // Replies need only send-queue space (no credits). Space frees up as the
   // NIC acknowledges in-flight messages, without host involvement, so
   // blocking here cannot deadlock the poll loop.
-  while (state_->send_queue.size() >= depth) {
+  while (state_->send_queue().size() >= depth) {
     co_await events_.wait();
     if (destroyed_) co_return;
   }
@@ -503,7 +503,7 @@ sim::Task<> Endpoint::enqueue_reply_locked(host::HostThread& t,
   const bool span_tracked =
       tracked_kind && spans.begin(node, state_->id, d.msg_id,
                                   static_cast<std::int64_t>(enq_at));
-  state_->send_queue.push_back(std::move(d));
+  state_->enqueue(std::move(d));
   const sim::Time gate_at = host_->nic().doorbell(*state_);
   if (span_tracked) {
     spans.point(span_key, obs::SpanPoint::kDoorbell,

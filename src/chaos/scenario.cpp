@@ -269,11 +269,11 @@ struct ScenarioRun::Impl {
     // and undrained receive entries are judged by the ledger instead: a
     // dead server legitimately strands client credits.
     for (const auto& ep : parked) {
-      if (!ep->state().send_queue.empty()) {
+      if (!ep->state().send_queue().empty()) {
         res.violations.push_back(
             "wedged send queue: node " + std::to_string(ep->state().node) +
             " ep " + std::to_string(ep->state().id) + " holds " +
-            std::to_string(ep->state().send_queue.size()) + " descriptors");
+            std::to_string(ep->state().send_queue().size()) + " descriptors");
       }
     }
 

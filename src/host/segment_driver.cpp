@@ -274,7 +274,7 @@ sim::Task<> SegmentDriver::evict_one(Managed* keep) {
   // endpoint that still has unfinished send work must come back on its own —
   // no future write fault or message arrival may ever reference it (e.g. a
   // server blocked on that very endpoint's full send queue).
-  for (const auto& d : victim->state->send_queue) {
+  for (const auto& d : victim->state->send_queue()) {
     if (!d.finished()) {
       schedule_remap(*victim);
       break;

@@ -15,6 +15,8 @@
 
 namespace vnet::lanai {
 
+class Nic;
+
 /// One row of an endpoint's translation table (§3.1): maps a small integer
 /// index to a (node, endpoint, key) triple. The protected part of the
 /// system — the NIC — stamps outgoing messages with the key; the receiving
@@ -64,10 +66,6 @@ struct SendDescriptor {
     FragState operator[](std::size_t i) const {
       return size_ <= kInline ? inline_[i] : spill_[i];
     }
-    const FragState* begin() const {
-      return size_ <= kInline ? inline_.data() : spill_.data();
-    }
-    const FragState* end() const { return begin() + size_; }
 
    private:
     static constexpr std::size_t kInline = 4;
@@ -77,34 +75,47 @@ struct SendDescriptor {
   };
 
   std::uint32_t frag_count = 1;
-  std::uint32_t frags_acked = 0;
-  FragStates frag_state;
   sim::Time first_sent_at = -1;  ///< for the unreachable timeout
-  bool returned = false;         ///< undeliverable; awaiting queue sweep
 
-  bool complete() const { return frags_acked == frag_count; }
-  bool finished() const { return returned || complete(); }
-
-  bool has_unsent() const {
-    if (finished()) return false;
-    if (frag_state.empty()) return true;  // nothing transmitted yet
-    for (FragState s : frag_state) {
-      if (s == FragState::kUnsent) return true;
-    }
-    return false;
+  bool complete() const { return frags_acked_ == frag_count; }
+  bool finished() const { return returned_ || complete(); }
+  /// Some fragment still waits for a channel. O(1): the count of unsent
+  /// fragments is kept in step by EndpointState's transition methods.
+  bool has_unsent() const { return !finished() && frags_unsent_ > 0; }
+  std::uint32_t frags_unsent() const { return frags_unsent_; }
+  bool frag_in_flight(std::uint32_t i) const {
+    return i < frag_state_.size() && frag_state_[i] == FragState::kInFlight;
   }
 
-  /// First fragment not yet handed to a channel, or -1 if none.
-  /// Lazily initializes the per-fragment state array.
+  /// First fragment not yet handed to a channel, or -1 if none. Scans from
+  /// a cursor below which no fragment is unsent, so a message's fragments
+  /// are found in amortized O(1) each. Lazily initializes the state array.
   int next_unsent() {
-    if (frag_state.empty()) {
-      frag_state.assign(frag_count, FragState::kUnsent);
-    }
-    for (std::size_t i = 0; i < frag_state.size(); ++i) {
-      if (frag_state[i] == FragState::kUnsent) return static_cast<int>(i);
-    }
-    return -1;
+    if (frag_state_.empty()) frag_state_.assign(frag_count, FragState::kUnsent);
+    if (frags_unsent_ == 0) return -1;
+    while (frag_state_[first_unsent_] != FragState::kUnsent) ++first_unsent_;
+    return static_cast<int>(first_unsent_);
   }
+
+  /// Full-scan recount of unsent fragments, for the index cross-checks.
+  std::uint32_t count_unsent() const {
+    if (frag_state_.empty()) return frag_count;
+    std::uint32_t n = 0;
+    for (std::size_t i = 0; i < frag_state_.size(); ++i) {
+      if (frag_state_[i] == FragState::kUnsent) ++n;
+    }
+    return n;
+  }
+
+ private:
+  // Every transition goes through EndpointState, which keeps the
+  // endpoint's sendable-descriptor count in step with these.
+  friend struct EndpointState;
+  FragStates frag_state_;         ///< empty until the first fragment binds
+  std::uint32_t frags_acked_ = 0;
+  std::uint32_t frags_unsent_ = 0;  ///< kUnsent fragments (all, if unbound)
+  std::uint32_t first_unsent_ = 0;  ///< no kUnsent fragment below this
+  bool returned_ = false;         ///< undeliverable; awaiting queue sweep
 };
 
 /// A delivered message awaiting the application (one receive-queue entry).
@@ -143,10 +154,34 @@ struct DeliveredWindow {
   bool contains(std::uint64_t id) const { return set.count(id) != 0; }
 };
 
+/// Set of received fragment indexes of one message, one bit each. Up to
+/// 64 fragments (256 KB at the default payload) fit the inline word.
+class FragBitmap {
+ public:
+  explicit FragBitmap(std::uint32_t frag_count) {
+    if (frag_count > 64) spill_.assign((frag_count + 63) / 64, 0);
+  }
+  /// Marks fragment `i` received; false if it already was.
+  bool insert(std::uint32_t i) {
+    std::uint64_t& w = spill_.empty() ? inline_ : spill_[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if ((w & bit) != 0) return false;
+    w |= bit;
+    ++count_;
+    return true;
+  }
+  std::uint32_t size() const { return count_; }
+
+ private:
+  std::uint64_t inline_ = 0;
+  std::vector<std::uint64_t> spill_;
+  std::uint32_t count_ = 0;
+};
+
 /// In-progress multi-fragment message at the receiver.
 struct Reassembly {
   RecvEntry entry;
-  std::unordered_set<std::uint32_t> frags;
+  FragBitmap frags;
   bool is_request = true;
 };
 
@@ -171,8 +206,9 @@ struct EndpointState {
 
   std::vector<Translation> translations;
 
-  // Queues; depths are enforced by the writers (see NicConfig).
-  std::deque<SendDescriptor> send_queue;
+  // Queues; depths are enforced by the writers (see NicConfig). The send
+  // queue is written only through enqueue() so its index stays exact.
+  const std::deque<SendDescriptor>& send_queue() const { return send_queue_; }
   std::deque<RecvEntry> recv_requests;
   std::deque<RecvEntry> recv_replies;
 
@@ -207,6 +243,75 @@ struct EndpointState {
   std::function<void(SendDescriptor, NackReason)> on_return_to_sender;
 
   std::uint64_t alloc_msg_id() { return next_msg_id++; }
+
+  /// Appends a freshly written descriptor to the send queue (the host's
+  /// half of the doorbell protocol; the caller rings the doorbell).
+  void enqueue(SendDescriptor d) {
+    d.frags_unsent_ = d.frag_count;
+    if (d.has_unsent()) ++sendable_;
+    send_queue_.push_back(std::move(d));
+  }
+
+  // --- NIC-owned firmware indexes (see DESIGN.md, "Firmware indexes") ---
+
+  /// Descriptors in the send queue with a fragment waiting for a channel.
+  std::uint32_t sendable() const { return sendable_; }
+  /// Channels currently bound to a fragment of this endpoint; zero means
+  /// the endpoint is quiescent (§5.3).
+  std::uint32_t channels_in_flight = 0;
+  /// An unload/destroy is parked until quiescence: no new fragments start.
+  bool draining = false;
+  /// A make-resident request is outstanding with the driver.
+  bool remap_requested = false;
+
+  // Fragment transitions. Each keeps SendDescriptor::frags_unsent_ and
+  // sendable_ exact; nothing else writes a descriptor's transport state.
+
+  /// kUnsent -> kInFlight (the fragment bound to a channel).
+  void mark_in_flight(SendDescriptor& d, std::uint32_t frag) {
+    d.frag_state_[frag] = SendDescriptor::FragState::kInFlight;
+    if (--d.frags_unsent_ == 0 && !d.finished()) --sendable_;
+  }
+  /// kInFlight -> kUnsent (its channel was lost or unbound); false if the
+  /// fragment was not in flight.
+  bool mark_unsent(SendDescriptor& d, std::uint32_t frag) {
+    if (!d.frag_in_flight(frag)) return false;
+    if (d.frags_unsent_++ == 0 && !d.finished()) ++sendable_;
+    d.frag_state_[frag] = SendDescriptor::FragState::kUnsent;
+    if (frag < d.first_unsent_) d.first_unsent_ = frag;
+    return true;
+  }
+  /// kInFlight -> kAcked; false if the fragment was not in flight.
+  bool mark_acked(SendDescriptor& d, std::uint32_t frag) {
+    if (!d.frag_in_flight(frag)) return false;
+    d.frag_state_[frag] = SendDescriptor::FragState::kAcked;
+    ++d.frags_acked_;
+    return true;
+  }
+  /// Every fragment delivered at once (loopback, GAM overrun).
+  void mark_all_acked(SendDescriptor& d) {
+    if (d.has_unsent()) --sendable_;
+    d.frag_state_.assign(d.frag_count, SendDescriptor::FragState::kAcked);
+    d.frags_acked_ = d.frag_count;
+    d.frags_unsent_ = 0;
+  }
+  /// The message is undeliverable and leaves the send scheduler.
+  void mark_returned(SendDescriptor& d) {
+    if (d.has_unsent()) --sendable_;
+    d.returned_ = true;
+  }
+  /// Pops finished descriptors off the head of the send queue.
+  void sweep_send_queue() {
+    while (!send_queue_.empty() && send_queue_.front().finished()) {
+      send_queue_.pop_front();
+    }
+  }
+ private:
+  // The NIC reads and completes descriptors in place, transitioning them
+  // only through the methods above.
+  friend class Nic;
+  std::deque<SendDescriptor> send_queue_;
+  std::uint32_t sendable_ = 0;
 };
 
 }  // namespace vnet::lanai

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "obs/span.hpp"
 
@@ -22,6 +24,21 @@ struct FrameFreeList {
     for (void* p : slots) ::operator delete(p);
   }
 };
+
+#if VNET_CHECK_INDEXES
+constexpr bool kCheckIndexes = true;
+#else
+constexpr bool kCheckIndexes = false;
+#endif
+
+/// Cross-check failure (VNET_CHECK_INDEXES builds): a firmware count
+/// disagrees with a full scan of the state it summarizes.
+void index_check(bool ok, NodeId node, const char* what) {
+  if (ok) return;
+  std::fprintf(stderr, "nic %d: firmware index out of step: %s\n",
+               static_cast<int>(node), what);
+  std::abort();
+}
 
 FrameFreeList& frame_free_list() {
   // thread_local: each shard worker (sim/shard.hpp) recycles frames
@@ -113,6 +130,7 @@ Nic::Nic(sim::Engine& engine, myrinet::Fabric& fabric, NodeId node,
       rx_(engine),
       driver_ops_(engine),
       frames_(static_cast<std::size_t>(config.endpoint_frames)),
+      peers_(static_cast<std::size_t>(fabric.num_hosts())),
       rng_(engine.rng().split()),
       metric_prefix_("host." + std::to_string(node) + ".nic") {
   counters_.register_with(engine.metrics(), metric_prefix_);
@@ -193,26 +211,26 @@ void Nic::reboot() {
   // receive state (dedup windows, reassembly) lives in the endpoints, which
   // are host-memory backed, and survives.
   std::uint32_t max_epoch = epoch_base_;
-  for (auto& [peer, chans] : channels_) {
-    for (auto& ch : chans) {
+  for (auto& p : peers_) {
+    if (p == nullptr) continue;
+    for (auto& ch : p->send) {
       max_epoch = std::max(max_epoch, ch.epoch);
+      if (!ch.busy) continue;
       // A fragment in flight on a dying channel would otherwise be stranded
       // in kInFlight forever (no channel remembers it); hand it back to the
       // send scheduler.
-      if (ch.busy && ch.src_ep != nullptr) {
-        if (SendDescriptor* d = find_descriptor(*ch.src_ep, ch.pending.msg_id)) {
-          const std::uint32_t idx = ch.pending.frag_index;
-          if (idx < d->frag_state.size() &&
-              d->frag_state[idx] == SendDescriptor::FragState::kInFlight) {
-            d->frag_state[idx] = SendDescriptor::FragState::kUnsent;
-          }
-        }
+      EndpointState& ep = *ch.src_ep;
+      if (SendDescriptor* d = find_descriptor(ep, ch.pending.msg_id)) {
+        ep.mark_unsent(*d, ch.pending.frag_index);
       }
+      release_channel(ch);
     }
+    // Free the SRAM tables; a later use rebuilds them in the new epoch.
+    std::vector<ChannelState>().swap(p->send);
+    std::vector<RecvChannelState>().swap(p->recv);
+    p->cursor = 0;
+    p->free_channels = 0;
   }
-  channels_.clear();
-  recv_channels_.clear();
-  channel_cursor_.clear();
   due_retransmits_.clear();
   ++channel_table_gen_;
   epoch_base_ = max_epoch + 1;
@@ -246,9 +264,13 @@ sim::Process Nic::firmware_loop() {
     // Weighted round-robin endpoint service (§5.2), bursting up to
     // burst_service transmissions before receive processing and timers
     // get another turn.
-    for (int i = 0; i < config_.burst_service; ++i) {
-      if (!co_await service_step()) break;
-      worked = true;
+    if (!frames_sendable()) {
+      loiter_ep_ = nullptr;  // all an idle service_step() would do
+    } else {
+      for (int i = 0; i < config_.burst_service; ++i) {
+        if (!co_await service_step()) break;
+        worked = true;
+      }
     }
     // Quiescence checks for pending unload/destroy (§5.3).
     if (!pending_unloads_.empty()) worked |= co_await process_unloads();
@@ -275,9 +297,11 @@ sim::Process Nic::firmware_loop() {
 }
 
 bool Nic::work_pending() const {
-  if (!rx_.empty() || !driver_ops_.empty() || !due_retransmits_.empty()) {
-    return true;
-  }
+  return !rx_.empty() || !driver_ops_.empty() || !due_retransmits_.empty() ||
+         frames_sendable();
+}
+
+bool Nic::frames_sendable() const {
   for (const auto& slot : frames_) {
     if (slot.ep != nullptr && has_sendable(*slot.ep)) return true;
   }
@@ -285,11 +309,8 @@ bool Nic::work_pending() const {
 }
 
 bool Nic::has_sendable(const EndpointState& ep) const {
-  if (draining_.count(ep.id) != 0) return false;
-  for (const auto& d : ep.send_queue) {
-    if (d.has_unsent()) return true;
-  }
-  return false;
+  check_indexes(ep);
+  return !ep.draining && ep.sendable() > 0;
 }
 
 sim::Task<bool> Nic::service_step() {
@@ -338,14 +359,42 @@ sim::Task<bool> Nic::service_step() {
 sim::Task<bool> Nic::service_endpoint(EndpointState& ep) {
   // Transmit the next pending fragment of this endpoint, if any.
   SendDescriptor* next = nullptr;
-  for (auto& d : ep.send_queue) {
+  for (auto& d : ep.send_queue_) {
     if (d.has_unsent()) {
       next = &d;
       break;
     }
   }
   if (next == nullptr) co_return false;
+  if (blocked_on_channels(ep, *next)) {
+    // Exactly what start_fragment would do before finding no free channel,
+    // without building its coroutine frame: stamp the first pickup.
+    if (engine_->spans().enabled()) {
+      engine_->spans().point(
+          obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
+                                 next->msg_id),
+          obs::SpanPoint::kNicPickup,
+          static_cast<std::int64_t>(engine_->now()));
+    }
+    co_return false;
+  }
   co_return co_await start_fragment(ep, *next);
+}
+
+bool Nic::blocked_on_channels(const EndpointState& ep,
+                              const SendDescriptor& desc) const {
+  if (!config_.reliable_transport) return false;
+  NodeId dst = desc.reply_to.node;
+  if (desc.body.is_request) {
+    if (desc.dest_index >= ep.translations.size() ||
+        !ep.translations[desc.dest_index].valid) {
+      return false;  // start_fragment returns it to the sender
+    }
+    dst = ep.translations[desc.dest_index].node;
+  }
+  if (dst == node_) return false;  // loopback needs no channel
+  const Peer* p = find_peer(dst);
+  return p != nullptr && !p->send.empty() && p->free_channels == 0;
 }
 
 sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
@@ -442,19 +491,18 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   f.frag_bytes = frag_bytes;
   f.timestamp = nic_timestamp();
 
-  desc.frag_state[frag] = SendDescriptor::FragState::kInFlight;
+  ep.mark_in_flight(desc, frag);
 
   if (gam) {
-    co_await inject(f);
+    co_await inject(std::move(f));
     counters_.data_sent.inc();
     // No acknowledgment: the first-generation interface assumes a
     // reliable network. The descriptor completes as soon as it is sent.
-    desc.frag_state[frag] = SendDescriptor::FragState::kAcked;
-    ++desc.frags_acked;
+    ep.mark_acked(desc, frag);
     if (desc.complete()) {
       counters_.msgs_completed.inc();
       ++ep.msgs_sent;
-      sweep_send_queue(ep);
+      ep.sweep_send_queue();
       if (ep.on_send_progress) ep.on_send_progress();
     }
     co_return true;
@@ -463,17 +511,15 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   f.channel = ch->index;
   f.seq = ch->next_seq++;
   f.epoch = ch->epoch;
-  ch->busy = true;
-  ch->src_ep = &ep;
+  acquire_channel(*ch, ep);
   ch->consecutive_retries = 0;
   ch->sent_at = engine_->now();
   ch->was_retransmitted = false;
 
   // §8 extension: carry pending acknowledgments for this peer.
   if (config_.piggyback_acks) {
-    auto pit = pending_acks_.find(dst_node);
-    if (pit != pending_acks_.end() && !pit->second.empty()) {
-      auto& pending = pit->second;
+    auto& pending = peer(dst_node).pending_acks;
+    if (!pending.empty()) {
       const auto take = std::min<std::size_t>(
           pending.size(), static_cast<std::size_t>(config_.piggyback_max));
       f.piggy_acks.assign(pending.begin(),
@@ -485,7 +531,7 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   }
   ch->pending = f;
 
-  co_await inject(f);
+  co_await inject(std::move(f));
   counters_.data_sent.inc();
   if (table_gen != channel_table_gen_) {
     co_return true;  // rebooted during injection: channel table is gone
@@ -501,12 +547,11 @@ sim::Task<bool> Nic::deliver_local(EndpointState& src, SendDescriptor& desc,
                   (gam ? config_.gam_instr_recv : config_.instr_recv_process));
 
   auto finish_ok = [&] {
-    desc.frag_state.assign(desc.frag_count, SendDescriptor::FragState::kAcked);
-    desc.frags_acked = desc.frag_count;
+    src.mark_all_acked(desc);
     counters_.msgs_completed.inc();
     counters_.local_deliveries.inc();
     ++src.msgs_sent;
-    sweep_send_queue(src);
+    src.sweep_send_queue();
     if (src.on_send_progress) src.on_send_progress();
   };
 
@@ -523,7 +568,7 @@ sim::Task<bool> Nic::deliver_local(EndpointState& src, SendDescriptor& desc,
   if (!dst.resident()) {
     // A local reference to a non-resident endpoint triggers activation
     // (§4.1) and the message waits, exactly like a remote arrival.
-    request_make_resident(dst.id);
+    request_make_resident(dst);
     co_return false;
   }
   auto& queue = desc.body.is_request ? dst.recv_requests : dst.recv_replies;
@@ -640,7 +685,7 @@ sim::Task<> Nic::handle_data(Frame f) {
 
   RecvChannelState* rcs = nullptr;
   if (!gam) {
-    rcs = &recv_channels_[peer_key(f.src_node, f.channel)];
+    rcs = &recv_channel(f.src_node, f.channel);
     if (f.epoch < rcs->epoch) {
       // Stale incarnation: tell the sender to resynchronize (§5.1).
       Frame nack_template = f;
@@ -674,7 +719,7 @@ sim::Task<> Nic::handle_data(Frame f) {
   if (!ep.resident()) {
     // Message arrival for a non-resident endpoint: nack it and ask the
     // driver to activate the endpoint (§4.1, §4.2). The sender retries.
-    request_make_resident(ep.id);
+    request_make_resident(ep);
     if (gam) {
       counters_.gam_drops.inc();
     } else {
@@ -726,7 +771,7 @@ sim::Task<> Nic::handle_data(Frame f) {
     // Re-resolve the receive channel: a reboot during the SBUS staging
     // above destroys the table `rcs` pointed into. A fresh entry (epoch 0)
     // simply adopts the sender's epoch, as any first frame would.
-    RecvChannelState& rc = recv_channels_[peer_key(f.src_node, f.channel)];
+    RecvChannelState& rc = recv_channel(f.src_node, f.channel);
     if (f.epoch >= rc.epoch) {
       rc.epoch = f.epoch;
       rc.have_seq = true;
@@ -785,16 +830,14 @@ sim::Task<> Nic::accept_fragment(EndpointState& ep, const Frame& f,
   const auto rkey = std::make_tuple(f.src_node, f.src_ep, f.msg_id);
   auto rit = ep.reassembly.find(rkey);
   if (rit == ep.reassembly.end()) {
-    Reassembly r;
-    r.entry = make_entry();
-    r.is_request = f.body.is_request;
+    Reassembly r{make_entry(), FragBitmap(f.frag_count), f.body.is_request};
     r.frags.insert(f.frag_index);
     ++reserved;  // hold a queue slot for the completed message
     ep.reassembly.emplace(rkey, std::move(r));
     co_return;
   }
   Reassembly& r = rit->second;
-  if (!r.frags.insert(f.frag_index).second) co_return;  // duplicate frag
+  if (!r.frags.insert(f.frag_index)) co_return;  // duplicate frag
   if (r.frags.size() == f.frag_count) {
     RecvEntry entry = std::move(r.entry);
     entry.arrived_at = engine_->now();
@@ -815,7 +858,7 @@ sim::Task<> Nic::send_ack(const Frame& data) {
     pa.timestamp = data.timestamp;
     pa.msg_id = data.msg_id;
     pa.frag_index = data.frag_index;
-    pending_acks_[data.src_node].push_back(pa);
+    peer(data.src_node).pending_acks.push_back(pa);
     schedule_piggy_flush(data.src_node);
     co_return;
   }
@@ -875,11 +918,9 @@ sim::Task<> Nic::handle_ack_or_nack(const Frame& f) {
 
   co_await charge(config_.instr_ack_process +
                   (config_.defensive_checks ? config_.instr_defensive : 0));
-  auto cit = channels_.find(f.src_node);
-  if (cit == channels_.end() || f.channel >= cit->second.size()) {
-    co_return;  // unknown channel (e.g. after reboot): ignore
-  }
-  ChannelState& ch = cit->second[f.channel];
+  ChannelState* chp = find_channel(f.src_node, f.channel);
+  if (chp == nullptr) co_return;  // unknown channel (e.g. after reboot)
+  ChannelState& ch = *chp;
 
   if (f.nack == NackReason::kStaleEpoch) {
     // Peer is ahead of us: adopt its epoch and retransmit (§5.1).
@@ -905,7 +946,7 @@ sim::Task<> Nic::handle_ack_or_nack(const Frame& f) {
   if (is_fatal(f.nack)) {
     EndpointState* ep = ch.src_ep;
     const std::uint64_t msg = ch.pending.msg_id;
-    ch.busy = false;
+    release_channel(ch);
     ch.timer_gen++;
     disarm_timer(ch);
     return_to_sender(*ep, msg, f.nack);
@@ -929,24 +970,20 @@ sim::Duration Nic::nack_backoff(int consecutive) const {
 
 void Nic::complete_fragment_ack(ChannelState& ch, const Frame& ack) {
   EndpointState& ep = *ch.src_ep;
-  ch.busy = false;
+  release_channel(ch);
   ch.timer_gen++;
   disarm_timer(ch);
   ch.consecutive_retries = 0;
   SendDescriptor* desc = find_descriptor(ep, ack.msg_id);
   work_.notify_all();  // a channel freed: senders may proceed
   if (desc == nullptr) return;  // descriptor aborted meanwhile
-  const std::uint32_t idx = ch.pending.frag_index;
-  if (idx >= desc->frag_state.size() ||
-      desc->frag_state[idx] != SendDescriptor::FragState::kInFlight) {
+  if (!ep.mark_acked(*desc, ch.pending.frag_index)) {
     return;  // defensive: fragment already accounted for
   }
-  desc->frag_state[idx] = SendDescriptor::FragState::kAcked;
-  desc->frags_acked++;
   if (desc->complete()) {
     counters_.msgs_completed.inc();
     ++ep.msgs_sent;
-    sweep_send_queue(ep);
+    ep.sweep_send_queue();
     if (ep.on_send_progress) ep.on_send_progress();
   }
 }
@@ -963,11 +1000,9 @@ void Nic::arm_timer(ChannelState& ch, sim::Duration timeout) {
   const std::uint64_t table_gen = channel_table_gen_;
   ch.timer_ev = engine_->after(timeout, [this, peer, index, gen, table_gen] {
     if (table_gen != channel_table_gen_) return;  // armed before a reboot
-    auto it = channels_.find(peer);
-    if (it == channels_.end() || index >= it->second.size()) return;
-    ChannelState& ch = it->second[index];
-    if (ch.busy && ch.timer_gen == gen) {
-      due_retransmits_.push_back(&ch);
+    ChannelState* ch = find_channel(peer, index);
+    if (ch != nullptr && ch->busy && ch->timer_gen == gen) {
+      due_retransmits_.push_back(ch);
       work_.notify_all();
     }
   });
@@ -994,7 +1029,7 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
   EndpointState& ep = *ch->src_ep;
   SendDescriptor* desc = find_descriptor(ep, ch->pending.msg_id);
   if (desc == nullptr) {
-    ch->busy = false;
+    release_channel(*ch);
     ch->timer_gen++;
     co_return true;
   }
@@ -1012,12 +1047,12 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
     // Unbind the message from the channel so the channel can be reused;
     // a later retransmission reacquires and rebinds (§5.1).
     counters_.channel_unbinds.inc();
-    ch->busy = false;
-    ch->timer_gen++;
-    const std::uint32_t idx = ch->pending.frag_index;
-    if (idx < desc->frag_state.size()) {
-      desc->frag_state[idx] = SendDescriptor::FragState::kUnsent;
+    const bool was_in_flight = ep.mark_unsent(*desc, ch->pending.frag_index);
+    if constexpr (kCheckIndexes) {
+      index_check(was_in_flight, node_, "unbound fragment was not in flight");
     }
+    release_channel(*ch);
+    ch->timer_gen++;
     work_.notify_all();
     co_return true;
   }
@@ -1046,9 +1081,9 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
 
 sim::Duration Nic::data_timeout(NodeId peer) const {
   if (config_.adaptive_timeout) {
-    auto it = rtt_.find(peer);
-    if (it != rtt_.end() && it->second.valid) {
-      return it->second.timeout(config_.adaptive_timeout_min);
+    const Peer* p = find_peer(peer);
+    if (p != nullptr && p->rtt.valid) {
+      return p->rtt.timeout(config_.adaptive_timeout_min);
     }
   }
   return config_.retransmit_timeout;
@@ -1068,16 +1103,16 @@ sim::Task<> Nic::apply_positive_ack(NodeId peer, const Frame::PiggyAck& pa,
                   (standalone && config_.defensive_checks
                        ? config_.instr_defensive
                        : 0));
-  auto cit = channels_.find(peer);
-  if (cit == channels_.end() || pa.channel >= cit->second.size()) co_return;
-  ChannelState& ch = cit->second[pa.channel];
+  ChannelState* chp = find_channel(peer, pa.channel);
+  if (chp == nullptr) co_return;
+  ChannelState& ch = *chp;
   if (!ch.busy || pa.epoch != ch.epoch || pa.seq != ch.pending.seq ||
       pa.timestamp != ch.pending.timestamp) {
     co_return;  // stale
   }
   counters_.acks_received.inc();
   if (config_.adaptive_timeout && !ch.was_retransmitted) {
-    rtt_[peer].sample(engine_->now() - ch.sent_at);
+    this->peer(peer).rtt.sample(engine_->now() - ch.sent_at);
     counters_.rtt_ns.record(static_cast<double>(engine_->now() - ch.sent_at));
   }
   Frame pseudo;
@@ -1087,12 +1122,13 @@ sim::Task<> Nic::apply_positive_ack(NodeId peer, const Frame::PiggyAck& pa,
 }
 
 void Nic::schedule_piggy_flush(NodeId peer) {
-  if (piggy_flush_scheduled_.count(peer) != 0) return;
-  piggy_flush_scheduled_.insert(peer);
+  Peer& p = this->peer(peer);
+  if (p.piggy_flush_scheduled) return;
+  p.piggy_flush_scheduled = true;
   engine_->after(config_.piggyback_delay, [this, peer] {
-    piggy_flush_scheduled_.erase(peer);
-    auto it = pending_acks_.find(peer);
-    if (it == pending_acks_.end() || it->second.empty()) return;
+    Peer& p = this->peer(peer);
+    p.piggy_flush_scheduled = false;
+    if (p.pending_acks.empty()) return;
     engine_->spawn([](Nic* nic, NodeId p) -> sim::Process {
       co_await nic->flush_pending_acks(p);
     }(this, peer));
@@ -1100,10 +1136,10 @@ void Nic::schedule_piggy_flush(NodeId peer) {
 }
 
 sim::Task<> Nic::flush_pending_acks(NodeId peer) {
-  auto it = pending_acks_.find(peer);
-  if (it == pending_acks_.end() || it->second.empty()) co_return;
-  auto pending = std::move(it->second);
-  it->second.clear();
+  auto& queued = this->peer(peer).pending_acks;
+  if (queued.empty()) co_return;
+  auto pending = std::move(queued);
+  queued.clear();
   counters_.piggy_flushes.inc();
   co_await charge(config_.instr_ack_generate);
   // One standalone ack frame carries the first entry in its main fields
@@ -1149,7 +1185,7 @@ sim::Task<> Nic::handle_driver(DriverOp op) {
                            static_cast<int>(node_), 0,
                            {{"ep", static_cast<std::int64_t>(ep.id)},
                             {"frame", op.frame}});
-        resident_requested_.erase(ep.id);
+        ep.remap_requested = false;
       }
       if (op.done) op.done->open();
       work_.notify_all();
@@ -1159,19 +1195,15 @@ sim::Task<> Nic::handle_driver(DriverOp op) {
     case DriverOp::Kind::kDestroy:
       // Quiescence required first (§5.3): park it; the firmware loop
       // completes it once all in-flight fragments are accounted for.
-      draining_.insert(op.ep->id);
+      op.ep->draining = true;
       pending_unloads_.push_back(op);
       break;
   }
 }
 
 bool Nic::endpoint_quiescent(const EndpointState& ep) const {
-  for (const auto& [peer, chans] : channels_) {
-    for (const auto& ch : chans) {
-      if (ch.busy && ch.src_ep == &ep) return false;
-    }
-  }
-  return true;
+  check_indexes(ep);
+  return ep.channels_in_flight == 0;
 }
 
 sim::Task<bool> Nic::process_unloads() {
@@ -1196,82 +1228,138 @@ sim::Task<bool> Nic::process_unloads() {
     }
     if (op.kind == DriverOp::Kind::kDestroy) {
       directory_.erase(ep.id);
-      resident_requested_.erase(ep.id);
+      ep.remap_requested = false;
       // Receiver-side reassembly state lives in the endpoint itself, so it
       // dies with it; nothing NIC-side to purge.
     }
-    draining_.erase(ep.id);
+    ep.draining = false;
     if (op.done) op.done->open();
     co_return true;
   }
   co_return false;
 }
 
-void Nic::request_make_resident(EpId ep) {
-  if (resident_requested_.count(ep) != 0) return;
-  if (draining_.count(ep) != 0) return;  // being torn down: don't reload
-  resident_requested_.insert(ep);
+void Nic::request_make_resident(EndpointState& ep) {
+  if (ep.remap_requested) return;
+  if (ep.draining) return;  // being torn down: don't reload
+  ep.remap_requested = true;
   counters_.remap_requests.inc();
   ++lamport_;
   if (on_nic_request) {
-    on_nic_request(NicRequest{NicRequest::Kind::kMakeResident, ep, lamport_});
+    on_nic_request(
+        NicRequest{NicRequest::Kind::kMakeResident, ep.id, lamport_});
   }
 }
 
 // ----------------------------------------------------------------- helpers
 
-Nic::ChannelState* Nic::find_free_channel(NodeId peer) {
-  auto& chans = channels_to(peer);
+Nic::Peer& Nic::peer(NodeId node) {
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= peers_.size()) peers_.resize(i + 1);
+  if (peers_[i] == nullptr) peers_[i] = std::make_unique<Peer>();
+  return *peers_[i];
+}
+
+Nic::ChannelState* Nic::find_channel(NodeId node, std::uint16_t index) {
+  const auto i = static_cast<std::size_t>(node);
+  if (i >= peers_.size() || peers_[i] == nullptr) return nullptr;
+  auto& send = peers_[i]->send;
+  return index < send.size() ? &send[index] : nullptr;
+}
+
+Nic::RecvChannelState& Nic::recv_channel(NodeId node, std::uint16_t index) {
+  auto& recv = peer(node).recv;
+  if (index >= recv.size()) {
+    recv.resize(std::max<std::size_t>(
+        index + 1, static_cast<std::size_t>(config_.channels_per_peer)));
+  }
+  return recv[index];
+}
+
+Nic::ChannelState* Nic::find_free_channel(NodeId node) {
+  Peer& p = peer(node);
+  if (p.send.empty()) {
+    p.send.resize(static_cast<std::size_t>(config_.channels_per_peer));
+    for (std::size_t i = 0; i < p.send.size(); ++i) {
+      p.send[i].peer = node;
+      p.send[i].index = static_cast<std::uint16_t>(i);
+      p.send[i].epoch = epoch_base_;
+    }
+    p.free_channels = static_cast<int>(p.send.size());
+  }
+  if constexpr (kCheckIndexes) {
+    int free = 0;
+    for (const auto& ch : p.send) free += ch.busy ? 0 : 1;
+    index_check(free == p.free_channels, node_, "free channels");
+  }
+  if (p.free_channels == 0) return nullptr;
   // Rotate through the channels instead of always reusing the lowest free
   // index: channels are statically bound to routes, so after a channel
   // unbind (dead spine, §5.1) the rebind must land on a *different*
   // channel/route or the message would retry into the same black hole.
-  std::size_t& cursor = channel_cursor_[peer];
-  for (std::size_t i = 0; i < chans.size(); ++i) {
-    ChannelState& ch = chans[(cursor + i) % chans.size()];
+  const std::size_t n = p.send.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    ChannelState& ch = p.send[(p.cursor + i) % n];
     if (!ch.busy) {
-      cursor = (static_cast<std::size_t>(ch.index) + 1) % chans.size();
+      p.cursor = (static_cast<std::size_t>(ch.index) + 1) % n;
       return &ch;
     }
   }
   return nullptr;
 }
 
-std::vector<Nic::ChannelState>& Nic::channels_to(NodeId peer) {
-  auto it = channels_.find(peer);
-  if (it == channels_.end()) {
-    std::vector<ChannelState> chans(
-        static_cast<std::size_t>(config_.channels_per_peer));
-    for (std::size_t i = 0; i < chans.size(); ++i) {
-      chans[i].peer = peer;
-      chans[i].index = static_cast<std::uint16_t>(i);
-      chans[i].epoch = epoch_base_;
-    }
-    it = channels_.emplace(peer, std::move(chans)).first;
+void Nic::acquire_channel(ChannelState& ch, EndpointState& ep) {
+  ch.busy = true;
+  ch.src_ep = &ep;
+  --peer(ch.peer).free_channels;
+  ++ep.channels_in_flight;
+  ++busy_channels_;
+}
+
+void Nic::release_channel(ChannelState& ch) {
+  ch.busy = false;
+  ++peer(ch.peer).free_channels;
+  --ch.src_ep->channels_in_flight;
+  --busy_channels_;
+}
+
+void Nic::check_indexes(const EndpointState& ep) const {
+  if constexpr (!kCheckIndexes) return;
+  std::uint32_t sendable = 0;
+  for (const auto& d : ep.send_queue()) {
+    if (d.finished()) continue;
+    index_check(d.count_unsent() == d.frags_unsent(), node_,
+                "unsent fragments");
+    if (d.frags_unsent() > 0) ++sendable;
   }
-  return it->second;
+  index_check(sendable == ep.sendable(), node_, "sendable descriptors");
+  std::uint32_t in_flight = 0;
+  for (const auto& p : peers_) {
+    if (p == nullptr) continue;
+    for (const auto& ch : p->send) {
+      if (ch.busy && ch.src_ep == &ep) ++in_flight;
+    }
+  }
+  index_check(in_flight == ep.channels_in_flight, node_, "channels in flight");
 }
 
 SendDescriptor* Nic::find_descriptor(EndpointState& ep, std::uint64_t msg_id) {
-  for (auto& d : ep.send_queue) {
+  for (auto& d : ep.send_queue_) {
     if (d.msg_id == msg_id && !d.finished()) return &d;
   }
   return nullptr;
 }
 
-void Nic::sweep_send_queue(EndpointState& ep) {
-  while (!ep.send_queue.empty() && ep.send_queue.front().finished()) {
-    ep.send_queue.pop_front();
-  }
-}
-
 void Nic::abort_descriptor(EndpointState& ep, std::uint64_t msg_id) {
-  for (auto& [peer, chans] : channels_) {
-    for (auto& ch : chans) {
+  if (ep.channels_in_flight == 0) return;
+  for (auto& p : peers_) {
+    if (p == nullptr) continue;
+    for (auto& ch : p->send) {
       if (ch.busy && ch.src_ep == &ep && ch.pending.msg_id == msg_id) {
-        ch.busy = false;
+        release_channel(ch);
         ch.timer_gen++;
         disarm_timer(ch);
+        if (ep.channels_in_flight == 0) return;
       }
     }
   }
@@ -1282,11 +1370,11 @@ void Nic::return_to_sender(EndpointState& ep, std::uint64_t msg_id,
   SendDescriptor* desc = find_descriptor(ep, msg_id);
   if (desc == nullptr) return;
   SendDescriptor copy = *desc;
-  desc->returned = true;
+  ep.mark_returned(*desc);
   abort_descriptor(ep, msg_id);
   ++ep.msgs_returned;
   counters_.returned_to_sender.inc();
-  sweep_send_queue(ep);
+  ep.sweep_send_queue();
   if (ep.on_return_to_sender) ep.on_return_to_sender(std::move(copy), reason);
   if (ep.on_send_progress) ep.on_send_progress();
   work_.notify_all();

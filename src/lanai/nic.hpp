@@ -3,11 +3,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lanai/config.hpp"
@@ -137,22 +135,14 @@ class Nic {
     return directory_.count(ep) != 0;
   }
 
-  int busy_channel_count() const {
-    int n = 0;
-    for (const auto& [peer, chans] : channels_) {
-      for (const auto& ch : chans) {
-        if (ch.busy) ++n;
-      }
-    }
-    return n;
-  }
+  int busy_channel_count() const { return busy_channels_; }
 
   /// Unfinished send descriptors across every endpoint this NIC knows;
   /// exported as the `send_backlog` gauge the frame-loiter watchdog reads.
   std::size_t send_backlog() const {
     std::size_t n = 0;
     for (const auto& [id, ep] : directory_) {
-      for (const auto& d : ep->send_queue) {
+      for (const auto& d : ep->send_queue()) {
         if (!d.finished()) ++n;
       }
     }
@@ -161,9 +151,9 @@ class Nic {
 
   /// Current smoothed RTT estimate to `peer` (0 if none yet); §8 extension.
   sim::Duration rtt_estimate(NodeId peer) const {
-    auto it = rtt_.find(peer);
-    return it != rtt_.end() && it->second.valid
-               ? static_cast<sim::Duration>(it->second.srtt_ns)
+    const Peer* p = find_peer(peer);
+    return p != nullptr && p->rtt.valid
+               ? static_cast<sim::Duration>(p->rtt.srtt_ns)
                : 0;
   }
 
@@ -226,15 +216,30 @@ class Nic {
     EndpointState* ep = nullptr;
   };
 
-  using PeerKey = std::uint64_t;
-  static PeerKey peer_key(NodeId node, std::uint16_t ch) {
-    return (static_cast<PeerKey>(static_cast<std::uint32_t>(node)) << 16) | ch;
-  }
+  /// Everything the firmware keeps per remote node, in one lazily created
+  /// block indexed by NodeId. The channel tables are NIC SRAM: reboot()
+  /// frees them (a rebuilt table starts in the new epoch). The RTT
+  /// estimate and queued acknowledgments survive a reboot.
+  struct Peer {
+    std::vector<ChannelState> send;      ///< created by the first send
+    std::vector<RecvChannelState> recv;  ///< grown by the first receive
+    // Rotation cursor for channel allocation, so a message unbound from a
+    // dead route fails over to a different channel (and, on a fat-tree, a
+    // different spine) when it rebinds.
+    std::size_t cursor = 0;
+    int free_channels = 0;  ///< entries of `send` with !busy
+    RttEstimator rtt;
+    std::vector<Frame::PiggyAck> pending_acks;
+    bool piggy_flush_scheduled = false;
+  };
 
   // --- firmware ---
   sim::Process firmware_loop();
   bool work_pending() const;
+  bool frames_sendable() const;
   bool has_sendable(const EndpointState& ep) const;
+  bool blocked_on_channels(const EndpointState& ep,
+                           const SendDescriptor& desc) const;
   sim::Task<bool> service_step();
   sim::Task<bool> service_endpoint(EndpointState& ep);
   sim::Task<bool> start_fragment(EndpointState& ep, SendDescriptor& desc);
@@ -257,21 +262,33 @@ class Nic {
   sim::Duration data_timeout(NodeId peer) const;
   sim::Task<> inject(Frame f);
   sim::Task<bool> process_unloads();
-  void request_make_resident(EpId ep);
+  void request_make_resident(EndpointState& ep);
 
   // --- helpers ---
   sim::Duration instr(int count) const { return config_.instr(count); }
-  sim::Task<> charge(int instructions) {
-    co_await engine_->delay(instr(instructions));
+  /// Awaitable instruction charge: the engine's delay awaiter itself, so a
+  /// charge builds no coroutine frame of its own.
+  auto charge(int instructions) { return engine_->delay(instr(instructions)); }
+  Peer& peer(NodeId node);
+  const Peer* find_peer(NodeId node) const {
+    const auto i = static_cast<std::size_t>(node);
+    return i < peers_.size() ? peers_[i].get() : nullptr;
   }
-  ChannelState* find_free_channel(NodeId peer);
-  std::vector<ChannelState>& channels_to(NodeId peer);
+  /// The channel table to `node`, or nullptr if none exists (yet, or
+  /// since a reboot).
+  ChannelState* find_channel(NodeId node, std::uint16_t index);
+  RecvChannelState& recv_channel(NodeId node, std::uint16_t index);
+  ChannelState* find_free_channel(NodeId node);
+  // The only writers of ChannelState::busy: keep the per-peer free count,
+  // the per-endpoint in-flight count and busy_channels_ in step.
+  void acquire_channel(ChannelState& ch, EndpointState& ep);
+  void release_channel(ChannelState& ch);
+  void check_indexes(const EndpointState& ep) const;
   void arm_timer(ChannelState& ch, sim::Duration timeout);
   void disarm_timer(ChannelState& ch);
   sim::Duration backoff_for(const ChannelState& ch, int consecutive) const;
   sim::Duration nack_backoff(int consecutive) const;
   SendDescriptor* find_descriptor(EndpointState& ep, std::uint64_t msg_id);
-  void sweep_send_queue(EndpointState& ep);
   void complete_fragment_ack(ChannelState& ch, const Frame& ack);
   void abort_descriptor(EndpointState& ep, std::uint64_t msg_id);
   void return_to_sender(EndpointState& ep, std::uint64_t msg_id,
@@ -307,21 +324,12 @@ class Nic {
   int loiter_budget_ = 0;
   sim::Time loiter_deadline_ = 0;
   std::unordered_map<EpId, EndpointState*> directory_;
-  std::unordered_set<EpId> draining_;
-  std::unordered_set<EpId> resident_requested_;
 
-  std::unordered_map<NodeId, std::vector<ChannelState>> channels_;
-  std::unordered_map<PeerKey, RecvChannelState> recv_channels_;
-  // Per-peer rotation cursor for channel allocation, so a message unbound
-  // from a dead route fails over to a different channel (and, on a
-  // fat-tree, a different spine) when it rebinds.
-  std::unordered_map<NodeId, std::size_t> channel_cursor_;
+  std::vector<std::unique_ptr<Peer>> peers_;  ///< by NodeId, lazily filled
+  int busy_channels_ = 0;
   // Bumped by reboot(); retransmit timers from before a reboot carry the
   // old value and disarm themselves instead of touching rebuilt channels.
   std::uint64_t channel_table_gen_ = 0;
-  std::unordered_map<NodeId, RttEstimator> rtt_;
-  std::unordered_map<NodeId, std::vector<Frame::PiggyAck>> pending_acks_;
-  std::unordered_set<NodeId> piggy_flush_scheduled_;
 
   std::uint64_t lamport_ = 0;
   std::uint32_t epoch_base_ = 1;

@@ -148,9 +148,22 @@ SpanTrace* SpanRecorder::insert_flight(std::uint64_t k) {
 }
 
 void SpanRecorder::erase_flight(Flight& f) {
-  f.state = 2;
   --flight_count_;
   --live_[filter_bucket(f.key)];
+  const std::size_t mask = flights_.size() - 1;
+  auto i = static_cast<std::size_t>(&f - flights_.data());
+  if (flights_[(i + 1) & mask].state != 0) {
+    f.state = 2;  // a probe chain may run on past this slot
+    return;
+  }
+  // No probe continues past an empty successor, so this slot and the run
+  // of tombstones just before it can be empty again. Without this, every
+  // erase leaves a tombstone and insert_flight keeps purge-rehashing.
+  do {
+    flights_[i].state = 0;
+    --flight_fill_;
+    i = (i - 1) & mask;
+  } while (flights_[i].state == 2);
 }
 
 void SpanRecorder::rehash_flights(std::size_t new_slots) {

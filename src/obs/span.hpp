@@ -202,6 +202,8 @@ class SpanRecorder {
   }
 
   std::size_t inflight() const { return flight_count_; }
+  /// Occupied slots of the in-flight table: live entries plus tombstones.
+  std::size_t inflight_fill() const { return flight_fill_; }
   std::uint64_t tracked() const { return tracked_; }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t overwritten() const { return overwritten_; }

@@ -102,7 +102,7 @@ sim::Task<bool> Vi::post_send(host::HostThread& t, MemoryHandle h,
   // Wait for send-queue space (descriptor ring full = VI send queue full).
   const auto depth = static_cast<std::size_t>(
       host_->nic().config().send_queue_depth);
-  while (state_->send_queue.size() >= depth) {
+  while (state_->send_queue().size() >= depth) {
     co_await poll(t);
     co_await t.compute(500);
   }
@@ -123,7 +123,7 @@ sim::Task<bool> Vi::post_send(host::HostThread& t, MemoryHandle h,
   const std::uint32_t mtu = host_->nic().config().max_packet_payload;
   d.frag_count =
       d.body.bulk_bytes == 0 ? 1 : (d.body.bulk_bytes + mtu - 1) / mtu;
-  state_->send_queue.push_back(std::move(d));
+  state_->enqueue(std::move(d));
   ++sends_posted_;
   host_->nic().doorbell(*state_);
   co_return true;

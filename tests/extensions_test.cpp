@@ -49,7 +49,7 @@ class ExtensionTest : public ::testing::Test {
     d.frag_count = bulk == 0 ? 1
                              : (bulk + cfg_.max_packet_payload - 1) /
                                    cfg_.max_packet_payload;
-    eps_[side].send_queue.push_back(std::move(d));
+    eps_[side].enqueue(std::move(d));
     nics_[side]->doorbell(eps_[side]);
   }
 
@@ -184,7 +184,7 @@ TEST_F(ExtensionTest, AdaptiveAvoidsSpuriousBulkRetransmissions) {
       d.body.bulk_bytes = 8192;
       d.msg_id = a.alloc_msg_id();
       d.frag_count = 2;
-      a.send_queue.push_back(std::move(d));
+      a.enqueue(std::move(d));
     }
     n0.doorbell(a);
     eng.run();

@@ -314,7 +314,7 @@ TEST_F(DriverTest, ArrivalActivatesNonResidentEndpoint) {
     d.body.handler = 1;
     d.msg_id = src->alloc_msg_id();
     co_await t.host().driver().ensure_writable(t.ctx(), src);
-    src->send_queue.push_back(std::move(d));
+    src->enqueue(std::move(d));
     t.host().nic().doorbell(*src);
     co_return;
   });

@@ -81,7 +81,7 @@ class NicTest : public ::testing::Test {
     d.msg_id = ep->alloc_msg_id();
     d.frag_count = frag_count_for(bulk_bytes, cfg_);
     const std::uint64_t id = d.msg_id;
-    ep->send_queue.push_back(std::move(d));
+    ep->enqueue(std::move(d));
     nics_[ep->node]->doorbell(*ep);
     return id;
   }
@@ -95,7 +95,7 @@ class NicTest : public ::testing::Test {
     d.body.args[0] = arg0;
     d.msg_id = ep->alloc_msg_id();
     const std::uint64_t id = d.msg_id;
-    ep->send_queue.push_back(std::move(d));
+    ep->enqueue(std::move(d));
     nics_[ep->node]->doorbell(*ep);
     return id;
   }
@@ -136,7 +136,7 @@ TEST_F(NicTest, ShortMessageDeliversEndToEnd) {
   EXPECT_EQ(e.reply_to.ep, 1u);
 
   EXPECT_EQ(src->msgs_sent, 1u);
-  EXPECT_TRUE(src->send_queue.empty());  // swept after the ack
+  EXPECT_TRUE(src->send_queue().empty());  // swept after the ack
   EXPECT_EQ(dst->msgs_delivered, 1u);
   EXPECT_EQ(nic_counter(0, "acks_received"), 1u);
   EXPECT_EQ(nic_counter(1, "acks_sent"), 1u);
@@ -231,7 +231,7 @@ TEST_F(NicTest, BulkCarriesRealBytes) {
   d.body.bulk_data = data;
   d.msg_id = src->alloc_msg_id();
   d.frag_count = frag_count_for(5000, cfg_);
-  src->send_queue.push_back(std::move(d));
+  src->enqueue(std::move(d));
   nics_[0]->doorbell(*src);
   eng_.run();
 
@@ -262,7 +262,7 @@ TEST_F(NicTest, BadKeyReturnsToSender) {
   EXPECT_TRUE(dst->recv_requests.empty());
   EXPECT_EQ(src->msgs_returned, 1u);
   EXPECT_EQ(src->msgs_sent, 0u);
-  EXPECT_TRUE(src->send_queue.empty());
+  EXPECT_TRUE(src->send_queue().empty());
 }
 
 TEST_F(NicTest, NoSuchEndpointReturnsToSender) {
@@ -386,7 +386,7 @@ TEST_P(NicLossTest, ExactlyOnceUnderFaults) {
   eng_.spawn([](sim::Engine& e, NicTest* t, EndpointState& ep,
                 int n) -> sim::Process {
     for (int i = 0; i < n; ++i) {
-      while (ep.send_queue.size() >=
+      while (ep.send_queue().size() >=
              static_cast<std::size_t>(t->cfg_.send_queue_depth)) {
         co_await e.delay(100 * sim::us);
       }
@@ -737,7 +737,7 @@ TEST_F(NicTest, RunsAreDeterministic) {
       d.body.handler = 1;
       d.body.args[0] = static_cast<std::uint64_t>(i);
       d.msg_id = a.alloc_msg_id();
-      a.send_queue.push_back(std::move(d));
+      a.enqueue(std::move(d));
     }
     n0.doorbell(a);
     eng.run();
@@ -866,7 +866,7 @@ TEST_F(NicTest, DoorbellThenRebootDeliversExactlyOnce) {
   EXPECT_EQ(dst->recv_requests[1].body.args[0], 2u);
   EXPECT_EQ(dst->msgs_delivered, 2u);
   EXPECT_EQ(src->msgs_sent, 2u);
-  EXPECT_TRUE(src->send_queue.empty());
+  EXPECT_TRUE(src->send_queue().empty());
 }
 
 // FIFO per channel across burst boundaries: with a single logical channel

@@ -98,7 +98,7 @@ TEST_P(FragmentSizes, BulkDeliveredExactlyOnce) {
   d.msg_id = src.alloc_msg_id();
   d.frag_count = bytes == 0 ? 1 : (bytes + cfg.max_packet_payload - 1) /
                                       cfg.max_packet_payload;
-  src.send_queue.push_back(std::move(d));
+  src.enqueue(std::move(d));
   n0.doorbell(src);
   eng.run();
 
@@ -164,7 +164,7 @@ TEST_P(RetransmitTuning, LossyDeliveryRobustToKnobs) {
     d.body.handler = 1;
     d.body.args[0] = static_cast<std::uint64_t>(i);
     d.msg_id = src.alloc_msg_id();
-    src.send_queue.push_back(std::move(d));
+    src.enqueue(std::move(d));
   }
   n0.doorbell(src);
   eng.run();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -83,6 +84,28 @@ TEST(Span, FirstWinsStampsSurviveRetransmission) {
   EXPECT_TRUE(t.complete);
   EXPECT_EQ(rec.completed(), 1u);
   EXPECT_EQ(rec.inflight(), 0u);
+}
+
+// Erasing a flight whose successor slot is empty must not leave a
+// tombstone, or steady insert/erase churn fills the table with them and
+// every few hundred messages pays a purge rehash.
+TEST(Span, InsertEraseChurnKeepsFillNearLiveCount) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+  constexpr std::uint64_t kLive = 8;  // messages in flight at any time
+  std::size_t max_fill = 0;
+  for (std::uint64_t id = 0; id < 10'000 + kLive; ++id) {
+    if (id < 10'000) ASSERT_TRUE(rec.begin(0, 1, id, 0));
+    if (id >= kLive) rec.finish(SpanRecorder::key(0, 1, id - kLive), 1);
+    max_fill = std::max(max_fill, rec.inflight_fill());
+  }
+  EXPECT_EQ(rec.inflight(), 0u);
+  EXPECT_EQ(rec.completed(), 10'000u);
+  // A tombstone survives only inside a probe chain that ends in a live
+  // entry, so fill stays near the live count and drains to zero with it.
+  EXPECT_LE(max_fill, 4 * kLive);
+  EXPECT_EQ(rec.inflight_fill(), 0u);
 }
 
 TEST(Span, EdgeArrayOverflowKeepsCounting) {
