@@ -381,19 +381,27 @@ sim::Task<bool> Nic::service_endpoint(EndpointState& ep) {
   co_return co_await start_fragment(ep, *next);
 }
 
+Translation Nic::destination(const EndpointState& ep,
+                             const SendDescriptor& desc) {
+  // Requests go through the translation table (§3.1), replies directly to
+  // the requester with the return authorization from the request.
+  if (!desc.body.is_request) {
+    return Translation{true, desc.reply_to.node, desc.reply_to.ep,
+                       desc.reply_to.key};
+  }
+  return desc.dest_index < ep.translations.size()
+             ? ep.translations[desc.dest_index]
+             : Translation{};
+}
+
 bool Nic::blocked_on_channels(const EndpointState& ep,
                               const SendDescriptor& desc) const {
   if (!config_.reliable_transport) return false;
-  NodeId dst = desc.reply_to.node;
-  if (desc.body.is_request) {
-    if (desc.dest_index >= ep.translations.size() ||
-        !ep.translations[desc.dest_index].valid) {
-      return false;  // start_fragment returns it to the sender
-    }
-    dst = ep.translations[desc.dest_index].node;
-  }
-  if (dst == node_) return false;  // loopback needs no channel
-  const Peer* p = find_peer(dst);
+  const Translation dst = destination(ep, desc);
+  // An invalid translation is returned to its sender and loopback needs
+  // no channel: both are start_fragment's to handle.
+  if (!dst.valid || dst.node == node_) return false;
+  const Peer* p = find_peer(dst.node);
   return p != nullptr && !p->send.empty() && p->free_channels == 0;
 }
 
@@ -406,29 +414,14 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
                                desc.msg_id),
         obs::SpanPoint::kNicPickup, static_cast<std::int64_t>(engine_->now()));
   }
-  // Resolve the destination: requests go through the translation table
-  // (§3.1), replies directly to the requester.
-  NodeId dst_node;
-  EpId dst_ep;
-  std::uint64_t key = 0;
-  if (desc.body.is_request) {
-    if (desc.dest_index >= ep.translations.size() ||
-        !ep.translations[desc.dest_index].valid) {
-      return_to_sender(ep, desc.msg_id, NackReason::kNoSuchEndpoint);
-      co_return true;
-    }
-    const Translation& tr = ep.translations[desc.dest_index];
-    dst_node = tr.node;
-    dst_ep = tr.ep;
-    key = tr.key;
-  } else {
-    dst_node = desc.reply_to.node;
-    dst_ep = desc.reply_to.ep;
-    key = desc.reply_to.key;  // return authorization from the request
+  const Translation dst = destination(ep, desc);
+  if (!dst.valid) {
+    return_to_sender(ep, desc.msg_id, NackReason::kNoSuchEndpoint);
+    co_return true;
   }
 
-  if (dst_node == node_) {
-    co_return co_await deliver_local(ep, desc, dst_ep, key);
+  if (dst.node == node_) {
+    co_return co_await deliver_local(ep, desc, dst.ep, dst.key);
   }
 
   const bool gam = !config_.reliable_transport;
@@ -438,7 +431,7 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   // left/reset kUnsent, so a post-reboot service pass resends it).
   const std::uint64_t table_gen = channel_table_gen_;
   if (!gam) {
-    ch = find_free_channel(dst_node);
+    ch = find_free_channel(dst.node);
     if (ch == nullptr) co_return false;  // all channels busy: try later
   }
 
@@ -479,9 +472,9 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   f.kind = FrameKind::kData;
   f.src_node = node_;
   f.src_ep = ep.id;
-  f.dst_node = dst_node;
-  f.dst_ep = dst_ep;
-  f.key = key;
+  f.dst_node = dst.node;
+  f.dst_ep = dst.ep;
+  f.key = dst.key;
   f.src_tag = ep.tag;
   f.body = desc.body;
   f.reply_to = desc.reply_to;
@@ -518,7 +511,7 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
 
   // §8 extension: carry pending acknowledgments for this peer.
   if (config_.piggyback_acks) {
-    auto& pending = peer(dst_node).pending_acks;
+    auto& pending = peer(dst.node).pending_acks;
     if (!pending.empty()) {
       const auto take = std::min<std::size_t>(
           pending.size(), static_cast<std::size_t>(config_.piggyback_max));

@@ -238,6 +238,8 @@ class Nic {
   bool work_pending() const;
   bool frames_sendable() const;
   bool has_sendable(const EndpointState& ep) const;
+  static Translation destination(const EndpointState& ep,
+                                 const SendDescriptor& desc);
   bool blocked_on_channels(const EndpointState& ep,
                            const SendDescriptor& desc) const;
   sim::Task<bool> service_step();
