@@ -83,9 +83,6 @@ struct SendDescriptor {
   /// fragments is kept in step by EndpointState's transition methods.
   bool has_unsent() const { return !finished() && frags_unsent_ > 0; }
   std::uint32_t frags_unsent() const { return frags_unsent_; }
-  bool frag_in_flight(std::uint32_t i) const {
-    return i < frag_state_.size() && frag_state_[i] == FragState::kInFlight;
-  }
 
   /// First fragment not yet handed to a channel, or -1 if none. Scans from
   /// a cursor below which no fragment is unsent, so a message's fragments
@@ -111,6 +108,9 @@ struct SendDescriptor {
   // Every transition goes through EndpointState, which keeps the
   // endpoint's sendable-descriptor count in step with these.
   friend struct EndpointState;
+  bool frag_in_flight(std::uint32_t i) const {
+    return i < frag_state_.size() && frag_state_[i] == FragState::kInFlight;
+  }
   FragStates frag_state_;         ///< empty until the first fragment binds
   std::uint32_t frags_acked_ = 0;
   std::uint32_t frags_unsent_ = 0;  ///< kUnsent fragments (all, if unbound)
@@ -252,7 +252,7 @@ struct EndpointState {
     send_queue_.push_back(std::move(d));
   }
 
-  // --- NIC-owned firmware indexes (see DESIGN.md, "Firmware indexes") ---
+  // --- NIC-owned firmware indexes (DESIGN.md §14) ---
 
   /// Descriptors in the send queue with a fragment waiting for a channel.
   std::uint32_t sendable() const { return sendable_; }
@@ -306,6 +306,7 @@ struct EndpointState {
       send_queue_.pop_front();
     }
   }
+
  private:
   // The NIC reads and completes descriptors in place, transitioning them
   // only through the methods above.

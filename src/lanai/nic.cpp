@@ -368,14 +368,8 @@ sim::Task<bool> Nic::service_endpoint(EndpointState& ep) {
   if (next == nullptr) co_return false;
   if (blocked_on_channels(ep, *next)) {
     // Exactly what start_fragment would do before finding no free channel,
-    // without building its coroutine frame: stamp the first pickup.
-    if (engine_->spans().enabled()) {
-      engine_->spans().point(
-          obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
-                                 next->msg_id),
-          obs::SpanPoint::kNicPickup,
-          static_cast<std::int64_t>(engine_->now()));
-    }
+    // without building its coroutine frame.
+    stamp_pickup(ep, *next);
     co_return false;
   }
   co_return co_await start_fragment(ep, *next);
@@ -405,15 +399,18 @@ bool Nic::blocked_on_channels(const EndpointState& ep,
   return p != nullptr && !p->send.empty() && p->free_channels == 0;
 }
 
+void Nic::stamp_pickup(const EndpointState& ep, const SendDescriptor& desc) {
+  if (!engine_->spans().enabled()) return;
+  // First pickup only (repeat stamps are ignored): rebinds, later fragments
+  // and channel-blocked attempts attribute to the initial tx-service wait.
+  engine_->spans().point(
+      obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
+                             desc.msg_id),
+      obs::SpanPoint::kNicPickup, static_cast<std::int64_t>(engine_->now()));
+}
+
 sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
-  if (engine_->spans().enabled()) {
-    // First pickup only (repeat stamps are ignored): rebinds and later
-    // fragments attribute to the initial tx-service wait.
-    engine_->spans().point(
-        obs::SpanRecorder::key(static_cast<std::uint32_t>(node_), ep.id,
-                               desc.msg_id),
-        obs::SpanPoint::kNicPickup, static_cast<std::int64_t>(engine_->now()));
-  }
+  stamp_pickup(ep, desc);
   const Translation dst = destination(ep, desc);
   if (!dst.valid) {
     return_to_sender(ep, desc.msg_id, NackReason::kNoSuchEndpoint);

@@ -242,6 +242,7 @@ class Nic {
                                  const SendDescriptor& desc);
   bool blocked_on_channels(const EndpointState& ep,
                            const SendDescriptor& desc) const;
+  void stamp_pickup(const EndpointState& ep, const SendDescriptor& desc);
   sim::Task<bool> service_step();
   sim::Task<bool> service_endpoint(EndpointState& ep);
   sim::Task<bool> start_fragment(EndpointState& ep, SendDescriptor& desc);

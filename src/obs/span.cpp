@@ -157,8 +157,8 @@ void SpanRecorder::erase_flight(Flight& f) {
     return;
   }
   // No probe continues past an empty successor, so this slot and the run
-  // of tombstones just before it can be empty again. Without this, every
-  // erase leaves a tombstone and insert_flight keeps purge-rehashing.
+  // of tombstones just before it can be empty again; tombstones then
+  // cannot pile up under insert/erase churn and force purge rehashes.
   do {
     flights_[i].state = 0;
     --flight_fill_;
