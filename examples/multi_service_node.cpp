@@ -5,7 +5,6 @@
 // multiplexes the frames on demand; nothing needs to be prearranged.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -57,18 +56,8 @@ sim::Task<> client(host::HostThread& t, Services& sv, const am::Name* target,
   for (int i = 0; i < requests; ++i) {
     co_await ep->request(t, 0, 1, static_cast<std::uint64_t>(i));
   }
-  sim::Time last_report = 0;
   while (replies < static_cast<std::uint64_t>(requests)) {
     co_await ep->poll(t, 16);
-    if (std::getenv("VNET_TRACE") != nullptr &&
-        t.engine().now() - last_report > 50 * sim::ms) {
-      last_report = t.engine().now();
-      std::printf("  [%s] draining: replies=%llu credits=%d returned=%llu\n",
-                  label, (unsigned long long)replies, ep->credits_in_use(),
-                  (unsigned long long)t.engine().snapshot().counter(
-                      "host." + std::to_string(ep->name().node) + ".ep." +
-                      std::to_string(ep->name().ep) + ".returns_handled"));
-    }
   }
   std::printf("  [%s] %d requests served in %s\n", label, requests,
               sim::format_time(t.engine().now() - t0).c_str());
@@ -112,32 +101,6 @@ int main() {
 
   // Stop services once the clients are done (hard cap at 2 sim-seconds).
   cl.engine().after(2 * sim::sec, [&] { sv.stop = true; });
-  for (int msi = 100; msi < 2000; msi += 100) {
-    cl.engine().at(msi * sim::ms, [&, msi] {
-      if (std::getenv("VNET_TRACE") != nullptr) {
-        const obs::Snapshot snap = cl.engine().snapshot();
-        auto c = [&snap](const char* name) {
-          return (unsigned long long)snap.counter(name);
-        };
-        std::printf("  t=%dms served c=%llu f=%llu m=%llu | n0: sent=%llu "
-                    "done=%llu rts=%llu nacks=%llu dup=%llu unb=%llu | n3: "
-                    "recv=%llu acks=%llu nackqf=%llu nacknr=%llu\n",
-                    msi, (unsigned long long)served_compute,
-                    (unsigned long long)served_files,
-                    (unsigned long long)served_mon,
-                    c("host.0.nic.data_sent"),
-                    c("host.0.nic.msgs_completed"),
-                    c("host.0.nic.returned_to_sender"),
-                    c("host.0.nic.nacks_received"),
-                    c("host.0.nic.duplicates_suppressed"),
-                    c("host.0.nic.channel_unbinds"),
-                    c("host.3.nic.data_received"),
-                    c("host.3.nic.acks_sent"),
-                    c("host.3.nic.nacks_sent_by_reason.2"),
-                    c("host.3.nic.nacks_sent_by_reason.1"));
-      }
-    });
-  }
   while (!cl.all_threads_done() && cl.engine().step()) {
     if (served_compute >= 400 && served_files >= 300 && served_mon >= 200) {
       sv.stop = true;

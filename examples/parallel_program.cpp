@@ -3,9 +3,11 @@
 // Active Messages — ghost exchanges, a global residual allreduce, and a
 // barrier per step, like the Split-C / MPI programs of §6.2.
 //
-// Also demonstrates the observability layer: the run records a simulated-
-// time trace (open parallel_program.trace.json in Perfetto or
-// chrome://tracing) and finishes with a metric-registry table dump.
+// Also demonstrates the observability layer: the run captures every
+// message's span and samples the metric registry every 5 simulated
+// milliseconds, exports both as a Chrome trace (open
+// parallel_program.trace.json in Perfetto or chrome://tracing), and
+// finishes with a metric-registry table dump.
 
 #include <cstdio>
 #include <fstream>
@@ -13,8 +15,9 @@
 #include "apps/parallel.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sampler.hpp"
 
 using namespace vnet;
 
@@ -22,12 +25,15 @@ int main() {
   constexpr int kRanks = 8;
   constexpr int kIters = 10;
   cluster::Cluster cl(cluster::NowConfig(kRanks));
-  cl.engine().tracer().set_enabled(true);
-  for (int r = 0; r < kRanks; ++r) {
-    cl.engine().tracer().set_process_name(r, "node " + std::to_string(r));
-    cl.engine().tracer().set_thread_name(r, 1, "wire rx");
-    cl.engine().tracer().set_thread_name(r, 2, "threads");
-  }
+  cl.engine().spans().set_sample_interval(1);
+  constexpr sim::Duration kSamplePeriod = 5 * sim::ms;
+  obs::Sampler sampler(cl.engine().metrics(),
+                       {kSamplePeriod, {"fabric.link.", "host."}});
+  sampler.sample(cl.engine().now());  // baseline window
+  cl.engine().every(kSamplePeriod, [&] {
+    sampler.sample(cl.engine().now());
+    return !cl.all_threads_done();
+  });
 
   apps::launch_spmd(cl, kRanks, [](apps::Par& par) -> sim::Task<> {
     const int r = par.rank();
@@ -70,11 +76,11 @@ int main() {
               static_cast<unsigned long long>(
                   snap.sum_counters("host.", ".messages_handled")));
   std::printf("\n%s\n", obs::render_table(snap, "fabric.link").c_str());
-  {
-    std::ofstream out("parallel_program.trace.json");
-    cl.engine().tracer().write_chrome_trace(out);
-  }
-  std::printf("trace: parallel_program.trace.json (%zu events)\n",
-              cl.engine().tracer().events().size());
+  const std::vector<obs::SpanTrace> traces = cl.engine().spans().collect();
+  std::ofstream("parallel_program.trace.json")
+      << obs::chrome_trace_json(traces, &sampler);
+  std::printf("trace: parallel_program.trace.json (%zu messages, %zu "
+              "sampler windows)\n",
+              traces.size(), sampler.rows());
   return 0;
 }

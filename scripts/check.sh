@@ -5,7 +5,6 @@
 #   scripts/check.sh default    # build + full tests + chaos determinism
 #   scripts/check.sh asan       # ASan+UBSan build + full tests + chaos run
 #   scripts/check.sh tsan       # TSan build + sharded tests + sharded chaos
-#   scripts/check.sh notrace    # tracing-compiled-out build + obs tests
 #
 # The compiler comes from the usual CC/CXX environment (the CI matrix sets
 # clang/clang++ on its clang legs). ccache is picked up automatically when
@@ -66,32 +65,17 @@ do_tsan() {
   ./build-tsan/bench/bench_chaos_matrix --shards 2 --seeds 1 >/dev/null
 }
 
-do_notrace() {
-  echo "== configure + build (tracing compiled out) =="
-  cmake -B build-notrace -S . -DVNET_TRACING=OFF \
-    ${CMAKE_EXTRA[@]+"${CMAKE_EXTRA[@]}"} >/dev/null
-  cmake --build build-notrace -j "$JOBS"
-
-  echo "== tests (tracing compiled out) =="
-  # Includes the Trace.MacroCompileConfigIsZeroCost guard, which asserts the
-  # VNET_TRACE_* macros expand to nothing in this configuration.
-  ctest --test-dir build-notrace --output-on-failure -j "$JOBS" \
-    -R "Trace\.|Metrics\.|ObsIntegration\.|Sampler\.|Watchdog\.|EventQueue\.|Span\.|Tail\.|SpanIntegration\."
-}
-
 case "$CONFIG" in
   default) do_default ;;
   asan) do_asan ;;
   tsan) do_tsan ;;
-  notrace) do_notrace ;;
   all)
     do_default
     do_asan
     do_tsan
-    do_notrace
     ;;
   *)
-    echo "usage: $0 [default|asan|tsan|notrace|all]" >&2
+    echo "usage: $0 [default|asan|tsan|all]" >&2
     exit 2
     ;;
 esac

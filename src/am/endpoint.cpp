@@ -35,9 +35,6 @@ Endpoint::Endpoint(host::Host& host, lanai::EndpointState* state, bool shared)
   counters_.returns_handled = reg.counter(prefix + ".returns_handled");
   counters_.send_stalls = reg.counter(prefix + ".send_stalls");
   counters_.wait_wakeups = reg.counter(prefix + ".wait_wakeups");
-  VNET_TRACE_INSTANT(host.engine().tracer(), "endpoint", "ep_create",
-                     static_cast<int>(state_->node), 0,
-                     {{"ep", static_cast<std::int64_t>(state_->id)}});
   state_->on_arrival = [this] { on_arrival(); };
   state_->on_send_progress = [this] { on_send_progress(); };
   state_->on_return_to_sender = [this](lanai::SendDescriptor d,

@@ -30,8 +30,6 @@ sim::Process Campaign::runner() {
     apply(a);
     last_action_time_ = engine.now();
     log_.push_back(describe(a));
-    VNET_TRACE_INSTANT(engine.tracer(), "chaos", log_.back(),
-                       static_cast<int>(a.node >= 0 ? a.node : 0));
     ++applied_;
   }
 }

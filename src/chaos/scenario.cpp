@@ -80,11 +80,6 @@ struct ScenarioRun::Impl {
     wcfg.link_ns_per_byte = cfg.fabric.link.ns_per_byte;
     watchdog = std::make_unique<obs::Watchdog>(cluster.engine().metrics(),
                                                wcfg);
-    watchdog->set_on_fire([this](const obs::WatchdogEvent& ev) {
-      (void)ev;
-      VNET_TRACE_INSTANT(cluster.engine().tracer(), "watchdog",
-                         ev.rule + " " + ev.subject, 0, 0, {});
-    });
     cluster.engine().every(wcfg.window_ns, [this] {
       if (sh.stop) return false;
       watchdog->check(cluster.engine().now());

@@ -80,22 +80,13 @@ class HostThread {
   /// Blocks on `cv` without holding the CPU; charges the kernel wake-up
   /// cost once notified (§3.3's thread-based events).
   sim::Task<> block(sim::CondVar& cv) {
-    [[maybe_unused]] const sim::Time blocked_at = engine().now();
     co_await cv.wait();
-    VNET_TRACE_COMPLETE(engine().tracer(), "thread", "blocked",
-                        static_cast<std::int64_t>(blocked_at),
-                        static_cast<int>(host_->id()), 2);
     co_await host_->cpu().wake(ctx_);
   }
 
   /// Like block(), but gives up after `d`. Returns true if notified.
   sim::Task<bool> block_for(sim::CondVar& cv, sim::Duration d) {
-    [[maybe_unused]] const sim::Time blocked_at = engine().now();
     const bool notified = co_await cv.wait_for(d);
-    VNET_TRACE_COMPLETE(engine().tracer(), "thread", "blocked",
-                        static_cast<std::int64_t>(blocked_at),
-                        static_cast<int>(host_->id()), 2,
-                        {{"notified", notified ? 1 : 0}});
     co_await host_->cpu().wake(ctx_);
     co_return notified;
   }

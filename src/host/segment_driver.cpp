@@ -145,9 +145,6 @@ sim::Task<> SegmentDriver::ensure_writable(ThreadCtx& t,
     case Residency::kOnHostRO:
       // Write fault: make the page writable and schedule the re-mapping.
       counters_.write_faults.inc();
-      VNET_TRACE_INSTANT(engine_->tracer(), "driver", "write_fault",
-                         static_cast<int>(nic_->node()), 0,
-                         {{"ep", static_cast<std::int64_t>(ep->id)}});
       co_await cpu_->run(t, config_->fault_overhead +
                                 config_->remap_schedule_overhead);
       m->res = Residency::kOnHostRW;
@@ -267,9 +264,6 @@ sim::Task<> SegmentDriver::evict_one(Managed* keep) {
   co_await done.wait();  // includes quiescence of in-flight messages
   victim->res = Residency::kOnHostRO;
   counters_.evictions.inc();
-  VNET_TRACE_INSTANT(engine_->tracer(), "driver", "evict",
-                     static_cast<int>(nic_->node()), 0,
-                     {{"ep", static_cast<std::int64_t>(victim->state->id)}});
   // §4.2: the background thread "activates non-empty endpoints". An evicted
   // endpoint that still has unfinished send work must come back on its own —
   // no future write fault or message arrival may ever reference it (e.g. a

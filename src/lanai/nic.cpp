@@ -204,8 +204,6 @@ int Nic::free_frames() const {
 }
 
 void Nic::reboot() {
-  VNET_TRACE_INSTANT(engine_->tracer(), "fault", "nic_reboot",
-                     static_cast<int>(node_));
   // Transport state is lost: channels restart in a new epoch; the receive
   // side re-synchronizes on the first frame it sees (§5.1). Message-level
   // receive state (dedup windows, reassembly) lives in the endpoints, which
@@ -625,7 +623,6 @@ sim::Task<> Nic::inject(Frame f) {
   p.dst = f.dst_node;
   p.route = route;
   p.wire_bytes = f.wire_bytes();
-  p.id = next_packet_id_++;
   p.payload = std::make_unique<Frame>(std::move(f));
 
   while (!station_->can_inject()) {
@@ -1171,10 +1168,6 @@ sim::Task<> Nic::handle_driver(DriverOp op) {
         frames_[op.frame].ep = &ep;
         ep.frame = op.frame;
         counters_.frames_loaded.inc();
-        VNET_TRACE_INSTANT(engine_->tracer(), "endpoint", "ep_load",
-                           static_cast<int>(node_), 0,
-                           {{"ep", static_cast<std::int64_t>(ep.id)},
-                            {"frame", op.frame}});
         ep.remap_requested = false;
       }
       if (op.done) op.done->open();
@@ -1208,10 +1201,6 @@ sim::Task<bool> Nic::process_unloads() {
     if (ep.resident()) {
       // Image moves NIC SRAM -> host memory.
       co_await sbus_.transfer(kEndpointImageBytes, SbusDma::Dir::kWriteHost);
-      VNET_TRACE_INSTANT(engine_->tracer(), "endpoint", "ep_unload",
-                         static_cast<int>(node_), 0,
-                         {{"ep", static_cast<std::int64_t>(ep.id)},
-                          {"frame", ep.frame}});
       frames_[ep.frame].ep = nullptr;
       ep.frame = -1;
       counters_.frames_unloaded.inc();

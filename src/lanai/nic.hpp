@@ -336,7 +336,6 @@ class Nic {
 
   std::uint64_t lamport_ = 0;
   std::uint32_t epoch_base_ = 1;
-  std::uint64_t next_packet_id_ = 1;
   sim::Rng rng_;
   std::string metric_prefix_;
   NicCounters counters_;

@@ -66,8 +66,6 @@ struct Packet {
   /// Set by fault injection; receiving NICs drop corrupt packets after the
   /// CRC check (contributing to transport retransmissions).
   bool corrupt = false;
-  /// Injection timestamp, for end-to-end fabric latency accounting.
-  sim::Time injected_at = 0;
   /// Stamped by each Channel at send time with the packet's computed
   /// arrival instant on that hop; after the last hop it is the delivery
   /// time at the destination station — the wire-stage boundary for latency
@@ -77,8 +75,6 @@ struct Packet {
   /// destination it annotates the wire stage of a captured span
   /// (obs/span.hpp) — tail messages often rode the longer route.
   std::uint8_t hops = 0;
-  /// Unique id for tracing.
-  std::uint64_t id = 0;
   std::unique_ptr<Payload> payload;
 };
 

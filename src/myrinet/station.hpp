@@ -22,8 +22,7 @@ namespace vnet::myrinet {
 /// overrun) is handled by the transport protocol's NACKs, per §5.1.
 class Station {
  public:
-  Station(sim::Engine& engine, NodeId id)
-      : engine_(&engine), id_(id), drained_(engine) {}
+  Station(sim::Engine& engine, NodeId id) : id_(id), drained_(engine) {}
 
   Station(const Station&) = delete;
   Station& operator=(const Station&) = delete;
@@ -42,7 +41,6 @@ class Station {
   /// Queues a packet for transmission; starts it immediately if the link
   /// transmitter is idle and has credit.
   void inject(Packet p) {
-    p.injected_at = engine_->now();
     ++packets_injected_;
     backlog_.push_back(std::move(p));
     pump();
@@ -66,13 +64,6 @@ class Station {
     rx_ = rx;
     rx_->on_deliver = [this](Packet p) {
       ++packets_received_;
-      // p.delivered_at was stamped by the delivering Channel (== now).
-      // One span per packet, injection -> delivery, on the receiver's row.
-      VNET_TRACE_COMPLETE(engine_->tracer(), "wire", "packet",
-                          static_cast<std::int64_t>(p.injected_at),
-                          static_cast<int>(id_), 1,
-                          {{"src", static_cast<std::int64_t>(p.src)},
-                           {"bytes", static_cast<std::int64_t>(p.wire_bytes)}});
       rx_->release_credit();
       if (on_receive) on_receive(std::move(p));
     };
@@ -94,7 +85,6 @@ class Station {
     if (can_inject()) drained_.notify_all();
   }
 
-  sim::Engine* engine_;
   NodeId id_;
   sim::CondVar drained_;
   Channel* tx_ = nullptr;

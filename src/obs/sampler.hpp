@@ -44,7 +44,16 @@ class Sampler {
   /// call only establishes the baseline and emits no row.
   void sample(std::int64_t now_ns);
 
+  /// One closed window: its end, its actual length, and one cell per
+  /// column present in it (column semantics as in csv()).
+  struct Row {
+    std::int64_t end_ns = 0;
+    std::int64_t window_ns = 0;
+    std::map<std::string, double> cells;
+  };
+
   std::size_t rows() const { return rows_.size(); }
+  const Row& row(std::size_t i) const { return rows_[i]; }
   const SamplerConfig& config() const { return cfg_; }
 
   /// Renders all windows as CSV: `window_end_ns,window_ns,<columns...>`.
@@ -59,11 +68,6 @@ class Sampler {
   SamplerConfig cfg_;
   bool have_base_ = false;
   Snapshot last_;
-  struct Row {
-    std::int64_t end_ns = 0;
-    std::int64_t window_ns = 0;
-    std::map<std::string, double> cells;
-  };
   std::vector<Row> rows_;
 };
 

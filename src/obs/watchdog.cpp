@@ -25,7 +25,6 @@ void Watchdog::fire(std::int64_t now_ns, const char* rule,
                     std::string subject, std::string detail) {
   events_.push_back(
       {now_ns, rule, std::move(subject), std::move(detail)});
-  if (on_fire_) on_fire_(events_.back());
 }
 
 void Watchdog::check(std::int64_t now_ns) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,8 +27,7 @@ namespace vnet::obs {
 ///                   condition it never consumes (the PR 6 bug class).
 ///
 /// Events accumulate for render_summary() (one row per rule/subject, wired
-/// into the chaos scenario reports) and optionally invoke an on_fire hook,
-/// which chaos uses to drop trace instants at the moment of detection.
+/// into the chaos scenario reports).
 struct WatchdogConfig {
   /// Watch-window length the caller promises to check() at; occupancy is
   /// computed against the actual spacing of check() calls.
@@ -60,10 +58,6 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  void set_on_fire(std::function<void(const WatchdogEvent&)> hook) {
-    on_fire_ = std::move(hook);
-  }
-
   /// Evaluates every rule over the window since the previous check. The
   /// first call only establishes the baseline.
   void check(std::int64_t now_ns);
@@ -81,7 +75,6 @@ class Watchdog {
 
   const MetricsRegistry* reg_;
   WatchdogConfig cfg_;
-  std::function<void(const WatchdogEvent&)> on_fire_;
   bool have_base_ = false;
   Snapshot last_;
   std::vector<WatchdogEvent> events_;

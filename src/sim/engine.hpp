@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -33,7 +32,6 @@ class Process;
 class Engine {
  public:
   explicit Engine(std::uint64_t seed = 1) : rng_(seed) {
-    tracer_.set_clock([this] { return static_cast<std::int64_t>(now_); });
     metrics_.counter_fn("sim.events_processed",
                         [this] { return events_processed_; });
     metrics_.gauge_fn("sim.pending_events", [this] {
@@ -55,10 +53,6 @@ class Engine {
     metrics_.gauge_fn("sim.queue.slots", [this] {
       return static_cast<double>(queue_.slot_capacity());
     });
-    // Bounded trace-ring health: a growing dropped counter means the ring
-    // wrapped and the oldest events were overwritten.
-    metrics_.counter_fn("obs.trace.dropped",
-                        [this] { return tracer_.dropped(); });
   }
 
   Engine(const Engine&) = delete;
@@ -168,9 +162,6 @@ class Engine {
     return metrics_.snapshot(static_cast<std::int64_t>(now_));
   }
 
-  /// Simulated-time tracer; its clock is this engine's clock.
-  obs::Tracer& tracer() { return tracer_; }
-
   /// Per-message causal span recorder (see obs/span.hpp), the one source
   /// of per-message latency attribution. Disabled by default; stamp sites
   /// throughout the stack cost one branch each until
@@ -212,7 +203,6 @@ class Engine {
   Rng rng_;
   obs::MetricsRegistry metrics_;
   obs::SpanRecorder spans_{metrics_};
-  obs::Tracer tracer_;
   std::unordered_set<void*> processes_;
   std::uint64_t events_processed_ = 0;
 };

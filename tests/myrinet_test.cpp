@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -268,7 +269,13 @@ TEST(Faults, PartialDropRateIsApproximatelyHonored) {
 
 namespace {
 
-// Sends `count` sequence-tagged packets 0 -> 1 and returns the ids that
+// The fabric carries payloads opaquely; a sequence number rides in one.
+struct Tag : Payload {
+  explicit Tag(std::uint64_t s) : seq(s) {}
+  std::uint64_t seq;
+};
+
+// Sends `count` sequence-tagged packets 0 -> 1 and returns the tags that
 // made it through.
 std::set<std::uint64_t> send_tagged(sim::Engine& eng, Fabric& fab,
                                     Collector& sink, int count) {
@@ -278,13 +285,15 @@ std::set<std::uint64_t> send_tagged(sim::Engine& eng, Fabric& fab,
         co_await f.station(0).drained().wait();
       }
       Packet p = make_packet(f, 0, 1, 64);
-      p.id = static_cast<std::uint64_t>(i);
+      p.payload = std::make_unique<Tag>(static_cast<std::uint64_t>(i));
       f.station(0).inject(std::move(p));
     }
   }(eng, fab, count));
   eng.run();
   std::set<std::uint64_t> delivered;
-  for (const Packet& p : sink.packets) delivered.insert(p.id);
+  for (const Packet& p : sink.packets) {
+    delivered.insert(static_cast<const Tag&>(*p.payload).seq);
+  }
   return delivered;
 }
 

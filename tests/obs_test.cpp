@@ -1,8 +1,8 @@
 // Unit tests for the vnet::obs observability layer: metric registration /
-// snapshot / diff semantics, histogram quantiles, table rendering, trace
-// export (round-tripped through a JSON parser), the compile-out guarantee
-// of the VNET_TRACE_* macros, and whole-stack determinism (same seed =>
-// identical snapshots and traces).
+// snapshot / diff semantics, histogram quantiles, table rendering, Chrome
+// trace export of spans and Sampler windows (round-tripped through a JSON
+// parser), and whole-stack determinism (same seed => identical snapshots
+// and traces).
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,10 @@
 #include "am/endpoint.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/config.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/sampler.hpp"
+#include "obs/span.hpp"
 
 namespace vnet::obs {
 namespace {
@@ -387,120 +389,88 @@ class JsonParser {
   int trace_events_ = 0;
 };
 
-// -------------------------------------------------------------- tracer
+// ------------------------------------------------- Chrome trace export
+
+std::size_t count_of(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = hay.find(needle); at != std::string::npos;
+       at = hay.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
 
 TEST(Trace, ExportRoundTripsThroughJsonParse) {
-  Tracer tr;
-  std::int64_t t = 0;
-  tr.set_clock([&] { return t; });
-  tr.set_enabled(true);
-  tr.set_process_name(0, "node 0");
-  tr.set_thread_name(0, 1, "wire \"rx\"\n");  // exercise escaping
+  // A delivered message: every boundary present, the doorbell gate
+  // skipped (zero-length), sub-microsecond boundary times.
+  SpanTrace done;
+  done.node = 0;
+  done.ep = 1;
+  done.msg_id = 7;
+  const std::int64_t at[kSpanPointCount] = {1500, 2000, 2000, 2250, 3000,
+                                            8000, 8500, 9000, 9400};
+  for (unsigned i = 0; i < kSpanPointCount; ++i) done.at[i] = at[i];
+  done.complete = true;
+  // A returned message: retransmitted once, then returned to its sender
+  // after its last boundary.
+  SpanTrace returned;
+  returned.node = 2;
+  returned.ep = 0;
+  returned.msg_id = 8;
+  returned.at.fill(-1);
+  returned.at[0] = 0;
+  returned.at[1] = 100;
+  returned.at[3] = 300;
+  returned.at[4] = 400;
+  returned.edges[0] = {SpanEdge::Kind::kRetransmit, 5000, 1};
+  returned.edges[1] = {SpanEdge::Kind::kReturnToSender, 9000, 2};
+  returned.edge_count = 2;
+  returned.returned = true;
 
-  t = 1500;
-  tr.instant("endpoint", "ep_load", 0, 0, {{"ep", 3}, {"frame", -1}});
-  t = 4750;
-  tr.complete("wire", "packet", 1500, 0, 1, {{"bytes", 4096}});
+  MetricsRegistry reg;
+  Counter c = reg.counter("wire \"rx\"\n");  // exercise escaping
+  Sampler sampler(reg, {});
+  sampler.sample(0);
+  c.inc(3);
+  sampler.sample(1000);
+  c.inc();
+  sampler.sample(2000);
 
-  ASSERT_EQ(tr.events().size(), 2u);
-  EXPECT_EQ(tr.events()[0].ph, 'i');
-  EXPECT_EQ(tr.events()[1].ph, 'X');
-  EXPECT_EQ(tr.events()[1].dur_ns, 3250);
-
-  const std::string json = tr.chrome_trace_json();
+  const std::string json = chrome_trace_json({done, returned}, &sampler);
   JsonParser p(json);
   ASSERT_TRUE(p.parse()) << json;
-  // 2 metadata events (process_name, thread_name) + 2 recorded events.
-  EXPECT_EQ(p.trace_events(), 4);
+  // 2 node rows; done: msg b/e + 7 non-zero stages; returned: msg b/e +
+  // 3 non-zero stages + 2 edges; sampler row + 1 column x 2 windows.
+  EXPECT_EQ(p.trace_events(), 2 + (2 + 14) + (2 + 6 + 2) + (1 + 2)) << json;
+  EXPECT_EQ(count_of(json, "\"ph\":\"b\",\"name\":\"msg "), 2u);
+  EXPECT_EQ(count_of(json, "\"name\":\"process_name\""), 3u);
+  // Only the returned trace's gate (100 -> 300) has a slice; the delivered
+  // trace's is zero-length.
+  EXPECT_EQ(count_of(json, "\"name\":\"doorbell_gate\""), 2u);
+  EXPECT_EQ(count_of(json, "\"name\":\"retransmit\""), 1u);
+  EXPECT_EQ(count_of(json, "\"name\":\"return_to_sender\""), 1u);
+  EXPECT_EQ(count_of(json, "\"ph\":\"C\""), 2u);
   // Sub-microsecond times survive as fractional microseconds.
-  EXPECT_NE(json.find("1.500"), std::string::npos);
+  EXPECT_NE(json.find("\"ts\":1.500"), std::string::npos);
+  // The async id is SpanRecorder::key; the returned slice ends at its
+  // return edge, past its last boundary.
+  EXPECT_NE(json.find("\"ph\":\"e\",\"name\":\"msg 8\",\"pid\":2,\"tid\":0,"
+                      "\"ts\":9.000,\"cat\":\"msg\",\"id\":\"0x2000000000008\""),
+            std::string::npos)
+      << json;
 }
 
-TEST(Trace, RingOverwritesOldestAndCountsDrops) {
-  Tracer tr;
-  std::int64_t t = 0;
-  tr.set_clock([&] { return t; });
-  tr.set_enabled(true);
-  tr.set_capacity(4);
-  EXPECT_EQ(tr.capacity(), 4u);
-
-  for (int i = 0; i < 10; ++i) {
-    t = i;
-    tr.instant("cat", "e", 0, 0, {{"i", i}});
-  }
-  // 10 events into a 4-slot ring: 6 overwritten, newest 4 retained in
-  // chronological order.
-  EXPECT_EQ(tr.dropped(), 6u);
-  const auto evs = tr.events();
-  ASSERT_EQ(evs.size(), 4u);
-  for (std::size_t i = 0; i < evs.size(); ++i) {
-    EXPECT_EQ(evs[i].ts_ns, static_cast<std::int64_t>(6 + i));
-  }
-  // The export of a wrapped ring is still well-formed JSON.
-  JsonParser p(tr.chrome_trace_json());
-  EXPECT_TRUE(p.parse());
-  EXPECT_EQ(p.trace_events(), 4);
-
-  // clear() empties the buffer but keeps the lifetime drop counter.
-  tr.clear();
-  EXPECT_TRUE(tr.events().empty());
-  EXPECT_EQ(tr.dropped(), 6u);
-}
-
-TEST(Trace, ShrinkingCapacityKeepsNewestEvents) {
-  Tracer tr;
-  std::int64_t t = 0;
-  tr.set_clock([&] { return t; });
-  tr.set_enabled(true);
-  for (int i = 0; i < 6; ++i) {
-    t = i;
-    tr.instant("cat", "e");
-  }
-  EXPECT_EQ(tr.dropped(), 0u);
-  tr.set_capacity(2);  // discards the 4 oldest
-  EXPECT_EQ(tr.dropped(), 4u);
-  const auto evs = tr.events();
-  ASSERT_EQ(evs.size(), 2u);
-  EXPECT_EQ(evs[0].ts_ns, 4);
-  EXPECT_EQ(evs[1].ts_ns, 5);
-}
-
-TEST(Trace, DisabledTracerRecordsNothing) {
-  Tracer tr;
-  tr.instant("cat", "x");
-  tr.complete("cat", "y", 0);
-  EXPECT_TRUE(tr.events().empty());
-  JsonParser p(tr.chrome_trace_json());
-  EXPECT_TRUE(p.parse());
+TEST(Trace, EmptyInputGivesValidEmptyTrace) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);  // sampling off: records nothing
+  rec.begin(0, 0, 1, 0);
+  rec.finish(SpanRecorder::key(0, 0, 1), 10);
+  Sampler sampler(reg, {});
+  sampler.sample(0);  // baseline only: no window
+  const std::string json = chrome_trace_json(rec.collect(), &sampler);
+  JsonParser p(json);
+  EXPECT_TRUE(p.parse()) << json;
   EXPECT_EQ(p.trace_events(), 0);
-}
-
-// The compile-out guarantee: with VNET_TRACING=OFF the macros expand to
-// ((void)0) and must not evaluate their arguments, let alone record; with
-// it ON a disabled tracer must also skip argument evaluation.
-TEST(Trace, MacroCompileConfigIsZeroCost) {
-  Tracer tr;
-  int evaluations = 0;
-  // [[maybe_unused]]: with tracing compiled out the macros discard their
-  // arguments, so nothing references the lambda.
-  [[maybe_unused]] auto arg = [&]() -> std::int64_t { return ++evaluations; };
-
-  tr.set_enabled(false);
-  VNET_TRACE_INSTANT(tr, "cat", "off", 0, 0, {{"v", arg()}});
-  EXPECT_EQ(evaluations, 0);  // both configs: disabled => unevaluated
-  EXPECT_TRUE(tr.events().empty());
-
-  tr.set_enabled(true);
-  VNET_TRACE_INSTANT(tr, "cat", "on", 0, 0, {{"v", arg()}});
-  VNET_TRACE_COMPLETE(tr, "cat", "span", 0, 0, 0);
-#if VNET_OBS_TRACING
-  EXPECT_EQ(evaluations, 1);
-  EXPECT_EQ(tr.events().size(), 2u);
-#else
-  // Compiled out: nothing is evaluated or recorded even when enabled.
-  EXPECT_EQ(evaluations, 0);
-  EXPECT_TRUE(tr.events().empty());
-#endif
 }
 
 // ----------------------------------------------- whole-stack integration
@@ -511,12 +481,19 @@ struct RunArtifacts {
   std::uint64_t handled = 0;
 };
 
-// A 2-node request/reply workload with tracing on; returns everything an
-// identical run must reproduce exactly.
+// A 2-node request/reply workload with every message's span captured and
+// the registry sampled every 100 us; returns everything an identical run
+// must reproduce exactly.
 RunArtifacts traced_ping_pong() {
   RunArtifacts out;
   cluster::Cluster cl(cluster::NowConfig(2));
-  cl.engine().tracer().set_enabled(true);
+  cl.engine().spans().set_sample_interval(1);
+  Sampler sampler(cl.engine().metrics(), {100 * sim::us, {"host."}});
+  sampler.sample(cl.engine().now());
+  cl.engine().every(100 * sim::us, [&] {
+    sampler.sample(cl.engine().now());
+    return !cl.all_threads_done();
+  });
 
   struct Shared {
     am::Name server;
@@ -555,7 +532,7 @@ RunArtifacts traced_ping_pong() {
   cl.run_to_completion();
   const Snapshot snap = cl.engine().snapshot();
   out.counters = snap.counters;
-  out.trace_json = cl.engine().tracer().chrome_trace_json();
+  out.trace_json = chrome_trace_json(cl.engine().spans().collect(), &sampler);
   out.handled = snap.sum_counters("host.", ".messages_handled");
   return out;
 }
@@ -611,14 +588,6 @@ TEST(ObsIntegration, RegistrySeesWholeStack) {
   EXPECT_GE(snap.sum_counters("fabric.link.", ".packets_tx"), 1u);
   EXPECT_GE(snap.counter("sim.events_processed"), 1u);
   EXPECT_GE(snap.counter("host.0.driver.endpoints_created"), 1u);
-  // The tracer's ring-drop counter is exported through the registry; no
-  // drops here (capacity is large), but the metric must exist.
-  EXPECT_EQ(snap.counter("obs.trace.dropped"), 0u);
-  cl.engine().tracer().set_capacity(1);
-  cl.engine().tracer().set_enabled(true);
-  cl.engine().tracer().instant("t", "a");
-  cl.engine().tracer().instant("t", "b");
-  EXPECT_EQ(cl.engine().snapshot().counter("obs.trace.dropped"), 1u);
 }
 
 TEST(ObsIntegration, SameSeedRunsProduceIdenticalSnapshotsAndTraces) {
@@ -631,9 +600,10 @@ TEST(ObsIntegration, SameSeedRunsProduceIdenticalSnapshotsAndTraces) {
 
   JsonParser p(a.trace_json);
   ASSERT_TRUE(p.parse());
-#if VNET_OBS_TRACING
   EXPECT_GT(p.trace_events(), 0);
-#endif
+  // The request and its reply, one async message slice each.
+  EXPECT_EQ(count_of(a.trace_json, "\"ph\":\"b\",\"name\":\"msg "), 2u);
+  EXPECT_GT(count_of(a.trace_json, "\"ph\":\"C\""), 0u);
 }
 
 }  // namespace

@@ -80,8 +80,6 @@ TEST(Watchdog, ChannelStallFiresOnlyWhileProgressIsZero) {
   WatchdogConfig cfg;
   cfg.window_ns = 500'000;
   Watchdog wd(reg, cfg);
-  int fired = 0;
-  wd.set_on_fire([&fired](const WatchdogEvent&) { ++fired; });
 
   busy.set(2);
   wd.check(0);  // baseline
@@ -91,7 +89,6 @@ TEST(Watchdog, ChannelStallFiresOnlyWhileProgressIsZero) {
   ASSERT_EQ(wd.events().size(), 1u);
   EXPECT_EQ(wd.events()[0].rule, "channel-stall");
   EXPECT_EQ(wd.events()[0].subject, "host.0.nic");
-  EXPECT_EQ(fired, 1);
 
   acks.inc();
   wd.check(1'000'000);  // progress resumed -> quiet

@@ -143,6 +143,26 @@ TEST(Span, PerEndpointRingOverwritesOldest) {
   EXPECT_EQ(traces[1].msg_id, 4u);
 }
 
+TEST(Span, ShrinkingRingKeepsNewestTraces) {
+  MetricsRegistry reg;
+  SpanRecorder rec(reg);
+  rec.set_sample_interval(1);
+  for (std::uint64_t id = 0; id < 6; ++id) {
+    ASSERT_TRUE(rec.begin(1, 1, id, static_cast<std::int64_t>(10 * id)));
+    rec.finish(SpanRecorder::key(1, 1, id),
+               static_cast<std::int64_t>(10 * id + 5));
+  }
+  EXPECT_EQ(rec.overwritten(), 0u);
+  rec.set_ring_capacity(2);  // discards the 4 oldest
+  EXPECT_EQ(rec.ring_capacity(), 2u);
+  EXPECT_EQ(rec.overwritten(), 4u);
+  EXPECT_EQ(reg.snapshot().counter("obs.span.overwritten"), 4u);
+  const auto traces = rec.collect();
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_EQ(traces[0].msg_id, 4u);
+  EXPECT_EQ(traces[1].msg_id, 5u);
+}
+
 TEST(Span, CollectOrdersEndpointsDeterministically) {
   MetricsRegistry reg;
   SpanRecorder rec(reg);
