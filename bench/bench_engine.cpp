@@ -13,11 +13,14 @@
 // Usage: bench_engine [--json PATH] [--repeats N] [--min-secs S] [--quick]
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,35 @@
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
+
+// Heap allocations, counted for the allocs_per_message entry. Every
+// operator new of the process comes through here; the count is exact and
+// machine-independent.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line so GCC's -Wmismatched-new-delete does not pair the inlined
+// free() with the replaced operator new below.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -210,13 +242,16 @@ std::uint64_t coroutine_delay_loop() {
 struct FullStackCounts {
   std::uint64_t msgs = 0;
   std::uint64_t events = 0;  // engine events processed for the whole pass
+  // Heap allocations while the second half of the requests ran, i.e.
+  // after the first 1000 had warmed every pool, ring and table.
+  std::uint64_t steady_allocs = 0;
 };
 
 FullStackCounts full_stack_pass(std::uint32_t span_interval = 0) {
   cluster::Cluster cl(cluster::NowConfig(2));
   cl.engine().spans().set_sample_interval(span_interval);
   am::Name server;
-  std::uint64_t got = 0;
+  std::uint64_t got = 0, allocs_mark = 0, steady_allocs = 0;
   bool stop = false;
   cl.spawn_thread(1, "s", [&](host::HostThread& t) -> sim::Task<> {
     auto ep = co_await am::Endpoint::create(t, 1);
@@ -235,12 +270,16 @@ FullStackCounts full_stack_pass(std::uint32_t span_interval = 0) {
     auto ep = co_await am::Endpoint::create(t, 2);
     while (!server.valid()) co_await t.sleep(10 * sim::us);
     ep->map(0, server);
-    for (int i = 0; i < 2'000; ++i) co_await ep->request(t, 0, 1, 1);
+    for (int i = 0; i < 2'000; ++i) {
+      if (i == 1'000) allocs_mark = g_allocs.load(std::memory_order_relaxed);
+      co_await ep->request(t, 0, 1, 1);
+    }
     while (ep->credits_in_use() > 0) co_await ep->poll(t, 16);
+    steady_allocs = g_allocs.load(std::memory_order_relaxed) - allocs_mark;
     stop = true;
   });
   cl.run_to_completion();
-  return {got, cl.engine().events_processed()};
+  return {got, cl.engine().events_processed(), steady_allocs};
 }
 
 std::uint64_t full_stack_message_rate() { return full_stack_pass().msgs; }
@@ -406,6 +445,27 @@ int main(int argc, char** argv) {
     r.items = fs.msgs;
     r.lower_is_better = true;
     std::printf("%-26s %14.2f %-12s %10s\n", r.name.c_str(), r.rate,
+                r.unit.c_str(), "-");
+    results.push_back(std::move(r));
+  }
+  // Steady-state heap allocations per request/reply on the same pass,
+  // counted over its second 1000 requests by this binary's operator new.
+  // Exact and machine-independent (raw, no tolerance): any new per-message
+  // allocation on the message path fails the gate. The residue is the
+  // event queue's calendar buckets still growing toward their peaks in a
+  // fresh engine. The pass before the counted one leaves the thread-local
+  // pools in the same state whatever ran earlier.
+  {
+    (void)full_stack_pass();
+    const FullStackCounts fs = full_stack_pass();
+    BenchResult r;
+    r.name = "allocs_per_message";
+    r.unit = "allocs/msg";
+    r.rate = static_cast<double>(fs.steady_allocs) / 1000.0;
+    r.items = 1000;
+    r.lower_is_better = true;
+    r.tolerance = 0;
+    std::printf("%-26s %14.3f %-12s %10s\n", r.name.c_str(), r.rate,
                 r.unit.c_str(), "-");
     results.push_back(std::move(r));
   }

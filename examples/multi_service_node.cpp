@@ -23,6 +23,7 @@ struct Services {
     return compute.valid() && files.valid() && monitor.valid();
   }
   bool stop = false;
+  int clients_done = 0;  ///< clients holding all their replies
 };
 
 sim::Task<> service(host::HostThread& t, Services& sv, am::Name* slot,
@@ -61,6 +62,7 @@ sim::Task<> client(host::HostThread& t, Services& sv, const am::Name* target,
   }
   std::printf("  [%s] %d requests served in %s\n", label, requests,
               sim::format_time(t.engine().now() - t0).c_str());
+  ++sv.clients_done;
   co_await ep->destroy(t);
 }
 
@@ -99,12 +101,13 @@ int main() {
     co_await client(t, sv, &sv.monitor, 200, "analyzer -> monitor");
   });
 
-  // Stop services once the clients are done (hard cap at 2 sim-seconds).
+  // Stop the services once every client holds all its replies (hard cap
+  // at 2 sim-seconds). Stopping when the handlers have run is too early:
+  // a service destroys its endpoint on stop, and replies still queued in
+  // it would never reach their client.
   cl.engine().after(2 * sim::sec, [&] { sv.stop = true; });
   while (!cl.all_threads_done() && cl.engine().step()) {
-    if (served_compute >= 400 && served_files >= 300 && served_mon >= 200) {
-      sv.stop = true;
-    }
+    if (sv.clients_done == 3) sv.stop = true;
   }
 
   std::printf("served: compute=%llu files=%llu monitor=%llu\n",

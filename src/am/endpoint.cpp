@@ -368,7 +368,7 @@ sim::Task<std::size_t> Endpoint::poll(host::HostThread& t, std::size_t max) {
   while (processed < max && state_ != nullptr) {
     // Prefer replies: they complete outstanding operations and return
     // credits, keeping the pipeline moving.
-    std::deque<lanai::RecvEntry>* q = nullptr;
+    lanai::RecvQueue* q = nullptr;
     if (!state_->recv_replies.empty()) {
       q = &state_->recv_replies;
     } else if (!state_->recv_requests.empty()) {

@@ -7,10 +7,10 @@
 #include <map>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "lanai/frame.hpp"
+#include "sim/frame_pool.hpp"
 #include "sim/time.hpp"
 
 namespace vnet::lanai {
@@ -131,6 +131,12 @@ struct RecvEntry {
   sim::Time arrived_at = 0;
 };
 
+/// An endpoint's send and receive queues. Deques, because the firmware
+/// holds descriptor pointers across suspensions and a deque never moves its
+/// elements; their chunks recycle through the frame pool.
+using SendQueue = std::deque<SendDescriptor, sim::PoolAllocator<SendDescriptor>>;
+using RecvQueue = std::deque<RecvEntry, sim::PoolAllocator<RecvEntry>>;
+
 /// Key identifying a remote source endpoint (node, ep) in dedup windows.
 inline std::uint64_t source_key(NodeId node, EpId ep) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node)) << 32) |
@@ -138,20 +144,31 @@ inline std::uint64_t source_key(NodeId node, EpId ep) {
 }
 
 /// Recently delivered message ids from one source endpoint, for
-/// exactly-once delivery across channel rebinds and NIC reboots.
+/// exactly-once delivery across channel rebinds and NIC reboots: the last
+/// kCapacity distinct ids remembered, oldest evicted first. The ids sit in
+/// one insertion-ordered ring that grows to kCapacity and then overwrites
+/// its oldest entry, so a window costs no per-message allocation; contains
+/// scans it (kCapacity words, branch-free).
 struct DeliveredWindow {
   static constexpr std::size_t kCapacity = 128;
-  std::deque<std::uint64_t> order;
-  std::unordered_set<std::uint64_t> set;
   void remember(std::uint64_t id) {
-    if (!set.insert(id).second) return;
-    order.push_back(id);
-    if (order.size() > kCapacity) {
-      set.erase(order.front());
-      order.pop_front();
+    if (contains(id)) return;
+    if (ids_.size() < kCapacity) {
+      ids_.push_back(id);
+      return;
     }
+    ids_[oldest_] = id;
+    oldest_ = (oldest_ + 1) % kCapacity;
   }
-  bool contains(std::uint64_t id) const { return set.count(id) != 0; }
+  bool contains(std::uint64_t id) const {
+    bool hit = false;
+    for (const std::uint64_t x : ids_) hit |= x == id;
+    return hit;
+  }
+
+ private:
+  std::vector<std::uint64_t> ids_;
+  std::size_t oldest_ = 0;  ///< next slot to overwrite once full
 };
 
 /// Set of received fragment indexes of one message, one bit each. Up to
@@ -208,9 +225,9 @@ struct EndpointState {
 
   // Queues; depths are enforced by the writers (see NicConfig). The send
   // queue is written only through enqueue() so its index stays exact.
-  const std::deque<SendDescriptor>& send_queue() const { return send_queue_; }
-  std::deque<RecvEntry> recv_requests;
-  std::deque<RecvEntry> recv_replies;
+  const SendQueue& send_queue() const { return send_queue_; }
+  RecvQueue recv_requests;
+  RecvQueue recv_replies;
 
   // Receive-queue slots reserved by in-progress multi-fragment messages
   // (NIC-owned; counted against the queue depths).
@@ -224,7 +241,11 @@ struct EndpointState {
   // here is what preserves exactly-once delivery across a receiver reboot:
   // a retransmission whose ack was lost pre-reboot is still recognized.
   std::unordered_map<std::uint64_t, DeliveredWindow> delivered_from;
-  std::map<ReassemblyKey, Reassembly> reassembly;
+  /// In-progress multi-fragment messages; one node per message, recycled
+  /// through the frame pool like the queue chunks.
+  std::map<ReassemblyKey, Reassembly, std::less<>,
+           sim::PoolAllocator<std::pair<const ReassemblyKey, Reassembly>>>
+      reassembly;
 
   // --- statistics ---
   std::uint64_t msgs_sent = 0;        ///< fully acknowledged
@@ -311,7 +332,7 @@ struct EndpointState {
   // The NIC reads and completes descriptors in place, transitioning them
   // only through the methods above.
   friend class Nic;
-  std::deque<SendDescriptor> send_queue_;
+  SendQueue send_queue_;
   std::uint32_t sendable_ = 0;
 };
 

@@ -218,14 +218,15 @@ void Nic::reboot() {
       // in kInFlight forever (no channel remembers it); hand it back to the
       // send scheduler.
       EndpointState& ep = *ch.src_ep;
-      if (SendDescriptor* d = find_descriptor(ep, ch.pending.msg_id)) {
-        ep.mark_unsent(*d, ch.pending.frag_index);
+      if (SendDescriptor* d = find_descriptor(ep, ch.msg_id)) {
+        ep.mark_unsent(*d, ch.frag_index);
       }
       release_channel(ch);
     }
     // Free the SRAM tables; a later use rebuilds them in the new epoch.
     std::vector<ChannelState>().swap(p->send);
     std::vector<RecvChannelState>().swap(p->recv);
+    std::vector<Frame::PiggyAck>().swap(p->carried);
     p->cursor = 0;
     p->free_channels = 0;
   }
@@ -255,8 +256,7 @@ sim::Process Nic::firmware_loop() {
     }
     // Retransmission timers.
     while (!due_retransmits_.empty()) {
-      ChannelState* ch = due_retransmits_.front();
-      due_retransmits_.pop_front();
+      ChannelState* ch = due_retransmits_.take_front();
       worked |= co_await handle_retransmit(ch);
     }
     // Weighted round-robin endpoint service (§5.2), bursting up to
@@ -439,11 +439,7 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   const int frag_idx = desc.next_unsent();
   assert(frag_idx >= 0);
   const auto frag = static_cast<std::uint32_t>(frag_idx);
-  const std::uint32_t mtu = config_.max_packet_payload;
-  const std::uint32_t frag_bytes =
-      desc.body.bulk_bytes == 0
-          ? 0
-          : std::min(mtu, desc.body.bulk_bytes - frag * mtu);
+  const std::uint32_t frag_bytes = fragment_bytes(desc, frag);
 
   if (frag_bytes > 0) {
     // Bulk payload is staged host -> NIC SRAM across the SBUS between
@@ -463,20 +459,7 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
     co_return true;  // rebooted while staging: nothing bound yet
   }
 
-  Frame f;
-  f.kind = FrameKind::kData;
-  f.src_node = node_;
-  f.src_ep = ep.id;
-  f.dst_node = dst.node;
-  f.dst_ep = dst.ep;
-  f.key = dst.key;
-  f.src_tag = ep.tag;
-  f.body = desc.body;
-  f.reply_to = desc.reply_to;
-  f.msg_id = desc.msg_id;
-  f.frag_index = frag;
-  f.frag_count = desc.frag_count;
-  f.frag_bytes = frag_bytes;
+  Frame f = data_frame(ep, desc, dst.node, dst.ep, dst.key, frag);
   f.timestamp = nic_timestamp();
 
   ep.mark_in_flight(desc, frag);
@@ -500,24 +483,34 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   f.seq = ch->next_seq++;
   f.epoch = ch->epoch;
   acquire_channel(*ch, ep);
+  ch->msg_id = desc.msg_id;
+  ch->frag_index = frag;
+  ch->dst_ep = dst.ep;
+  ch->key = dst.key;
+  ch->seq = f.seq;
+  ch->timestamp = f.timestamp;
   ch->consecutive_retries = 0;
   ch->sent_at = engine_->now();
   ch->was_retransmitted = false;
 
-  // §8 extension: carry pending acknowledgments for this peer.
+  // §8 extension: carry pending acknowledgments for this peer. The channel
+  // remembers them, since a retransmission carries them again.
   if (config_.piggyback_acks) {
-    auto& pending = peer(dst.node).pending_acks;
-    if (!pending.empty()) {
-      const auto take = std::min<std::size_t>(
-          pending.size(), static_cast<std::size_t>(config_.piggyback_max));
+    Peer& p = peer(dst.node);
+    auto& pending = p.pending_acks;
+    const auto take = std::min<std::size_t>(
+        pending.size(), static_cast<std::size_t>(config_.piggyback_max));
+    if (take > 0) {
       f.piggy_acks.assign(pending.begin(),
                           pending.begin() + static_cast<std::ptrdiff_t>(take));
       pending.erase(pending.begin(),
                     pending.begin() + static_cast<std::ptrdiff_t>(take));
       counters_.acks_piggybacked.inc(take);
+      std::copy(f.piggy_acks.begin(), f.piggy_acks.end(),
+                p.carried.begin() + ch->index * config_.piggyback_max);
     }
+    ch->carried_acks = static_cast<std::uint16_t>(take);
   }
-  ch->pending = f;
 
   co_await inject(std::move(f));
   counters_.data_sent.inc();
@@ -526,6 +519,36 @@ sim::Task<bool> Nic::start_fragment(EndpointState& ep, SendDescriptor& desc) {
   }
   arm_timer(*ch, backoff_for(*ch, 0));
   co_return true;
+}
+
+std::uint32_t Nic::fragment_bytes(const SendDescriptor& desc,
+                                  std::uint32_t frag) const {
+  const std::uint32_t mtu = config_.max_packet_payload;
+  return desc.body.bulk_bytes == 0
+             ? 0
+             : std::min(mtu, desc.body.bulk_bytes - frag * mtu);
+}
+
+Frame Nic::data_frame(const EndpointState& ep, const SendDescriptor& desc,
+                      NodeId dst_node, EpId dst_ep, std::uint64_t key,
+                      std::uint32_t frag) const {
+  // Every field but the channel's (channel, seq, epoch), the timestamp and
+  // piggybacked acks, which the caller stamps.
+  Frame f;
+  f.kind = FrameKind::kData;
+  f.src_node = node_;
+  f.src_ep = ep.id;
+  f.dst_node = dst_node;
+  f.dst_ep = dst_ep;
+  f.key = key;
+  f.src_tag = ep.tag;
+  f.body = desc.body;
+  f.reply_to = desc.reply_to;
+  f.msg_id = desc.msg_id;
+  f.frag_index = frag;
+  f.frag_count = desc.frag_count;
+  f.frag_bytes = fragment_bytes(desc, frag);
+  return f;
 }
 
 sim::Task<bool> Nic::deliver_local(EndpointState& src, SendDescriptor& desc,
@@ -653,14 +676,14 @@ sim::Task<bool> Nic::handle_rx(myrinet::Packet pkt) {
     co_return true;
   }
   if (frame->kind == FrameKind::kData) {
-    co_await handle_data(std::move(*frame));
+    co_await handle_data(*frame);  // the packet outlives this await
   } else {
     co_await handle_ack_or_nack(*frame);
   }
   co_return true;
 }
 
-sim::Task<> Nic::handle_data(Frame f) {
+sim::Task<> Nic::handle_data(const Frame& f) {
   const bool gam = !config_.reliable_transport;
   counters_.data_received.inc();
   for (const auto& pa : f.piggy_acks) {
@@ -675,9 +698,7 @@ sim::Task<> Nic::handle_data(Frame f) {
     rcs = &recv_channel(f.src_node, f.channel);
     if (f.epoch < rcs->epoch) {
       // Stale incarnation: tell the sender to resynchronize (§5.1).
-      Frame nack_template = f;
-      nack_template.epoch = rcs->epoch;
-      co_await send_nack(nack_template, NackReason::kStaleEpoch);
+      co_await send_nack(f, NackReason::kStaleEpoch, rcs->epoch);
       co_return;
     }
     if (f.epoch > rcs->epoch) {
@@ -769,7 +790,7 @@ sim::Task<> Nic::handle_data(Frame f) {
 }
 
 sim::Task<> Nic::accept_fragment(EndpointState& ep, const Frame& f,
-                                 std::deque<RecvEntry>& queue,
+                                 RecvQueue& queue,
                                  std::uint32_t& reserved) {
   // Bulk payload is staged NIC SRAM -> host memory across the SBUS.
   if (f.frag_bytes > 0) {
@@ -865,7 +886,8 @@ sim::Task<> Nic::send_ack(const Frame& data) {
   co_await inject(std::move(a));
 }
 
-sim::Task<> Nic::send_nack(const Frame& data, NackReason r) {
+sim::Task<> Nic::send_nack(const Frame& data, NackReason r,
+                           std::uint32_t epoch) {
   co_await charge(config_.instr_ack_generate);
   Frame a;
   a.kind = FrameKind::kNack;
@@ -875,7 +897,7 @@ sim::Task<> Nic::send_nack(const Frame& data, NackReason r) {
   a.dst_node = data.src_node;
   a.dst_ep = data.src_ep;
   a.channel = data.channel;
-  a.epoch = data.epoch;
+  a.epoch = epoch;
   a.acked_seq = data.seq;
   a.timestamp = data.timestamp;
   a.msg_id = data.msg_id;
@@ -913,7 +935,6 @@ sim::Task<> Nic::handle_ack_or_nack(const Frame& f) {
     // Peer is ahead of us: adopt its epoch and retransmit (§5.1).
     if (ch.busy && f.epoch > ch.epoch) {
       ch.epoch = f.epoch;
-      ch.pending.epoch = f.epoch;
       ch.timer_gen++;
       disarm_timer(ch);
       due_retransmits_.push_back(&ch);
@@ -924,15 +945,15 @@ sim::Task<> Nic::handle_ack_or_nack(const Frame& f) {
 
   // Validate against the most recent (re)transmission: the echoed
   // timestamp must match (§5.3's accounting rule for in-flight copies).
-  if (!ch.busy || f.epoch != ch.epoch || f.acked_seq != ch.pending.seq ||
-      f.timestamp != ch.pending.timestamp) {
+  if (!ch.busy || f.epoch != ch.epoch || f.acked_seq != ch.seq ||
+      f.timestamp != ch.timestamp) {
     co_return;  // stale nack for an older copy
   }
 
   counters_.nacks_received.inc();
   if (is_fatal(f.nack)) {
     EndpointState* ep = ch.src_ep;
-    const std::uint64_t msg = ch.pending.msg_id;
+    const std::uint64_t msg = ch.msg_id;
     release_channel(ch);
     ch.timer_gen++;
     disarm_timer(ch);
@@ -955,16 +976,16 @@ sim::Duration Nic::nack_backoff(int consecutive) const {
   return static_cast<sim::Duration>(static_cast<double>(base) * jitter);
 }
 
-void Nic::complete_fragment_ack(ChannelState& ch, const Frame& ack) {
+void Nic::complete_fragment_ack(ChannelState& ch, std::uint64_t msg_id) {
   EndpointState& ep = *ch.src_ep;
   release_channel(ch);
   ch.timer_gen++;
   disarm_timer(ch);
   ch.consecutive_retries = 0;
-  SendDescriptor* desc = find_descriptor(ep, ack.msg_id);
+  SendDescriptor* desc = find_descriptor(ep, msg_id);
   work_.notify_all();  // a channel freed: senders may proceed
   if (desc == nullptr) return;  // descriptor aborted meanwhile
-  if (!ep.mark_acked(*desc, ch.pending.frag_index)) {
+  if (!ep.mark_acked(*desc, ch.frag_index)) {
     return;  // defensive: fragment already accounted for
   }
   if (desc->complete()) {
@@ -1014,7 +1035,7 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
   co_await charge(config_.instr_timer_scan);
   if (table_gen != channel_table_gen_) co_return true;
   EndpointState& ep = *ch->src_ep;
-  SendDescriptor* desc = find_descriptor(ep, ch->pending.msg_id);
+  SendDescriptor* desc = find_descriptor(ep, ch->msg_id);
   if (desc == nullptr) {
     release_channel(*ch);
     ch->timer_gen++;
@@ -1034,7 +1055,7 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
     // Unbind the message from the channel so the channel can be reused;
     // a later retransmission reacquires and rebinds (§5.1).
     counters_.channel_unbinds.inc();
-    const bool was_in_flight = ep.mark_unsent(*desc, ch->pending.frag_index);
+    const bool was_in_flight = ep.mark_unsent(*desc, ch->frag_index);
     if constexpr (kCheckIndexes) {
       index_check(was_in_flight, node_, "unbound fragment was not in flight");
     }
@@ -1046,7 +1067,7 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
 
   co_await charge(config_.instr_build_packet);
   if (table_gen != channel_table_gen_) co_return true;
-  ch->pending.timestamp = nic_timestamp();
+  ch->timestamp = nic_timestamp();
   ch->timer_gen++;
   ch->sent_at = engine_->now();
   ch->was_retransmitted = true;  // Karn: no RTT sample from this exchange
@@ -1060,7 +1081,20 @@ sim::Task<bool> Nic::handle_retransmit(ChannelState* ch) {
         obs::SpanEdge::Kind::kRetransmit,
         static_cast<std::int64_t>(engine_->now()), ch->consecutive_retries);
   }
-  co_await inject(ch->pending);
+  // The copy on the wire is the original frame rebuilt from its descriptor,
+  // restamped with the channel's current epoch and timestamp.
+  Frame f = data_frame(ep, *desc, ch->peer, ch->dst_ep, ch->key,
+                       ch->frag_index);
+  f.channel = ch->index;
+  f.seq = ch->seq;
+  f.epoch = ch->epoch;
+  f.timestamp = ch->timestamp;
+  if (ch->carried_acks > 0) {
+    const auto first = peer(ch->peer).carried.begin() +
+                       ch->index * config_.piggyback_max;
+    f.piggy_acks.assign(first, first + ch->carried_acks);
+  }
+  co_await inject(std::move(f));
   if (table_gen != channel_table_gen_) co_return true;
   arm_timer(*ch, backoff_for(*ch, ch->consecutive_retries));
   co_return true;
@@ -1093,8 +1127,8 @@ sim::Task<> Nic::apply_positive_ack(NodeId peer, const Frame::PiggyAck& pa,
   ChannelState* chp = find_channel(peer, pa.channel);
   if (chp == nullptr) co_return;
   ChannelState& ch = *chp;
-  if (!ch.busy || pa.epoch != ch.epoch || pa.seq != ch.pending.seq ||
-      pa.timestamp != ch.pending.timestamp) {
+  if (!ch.busy || pa.epoch != ch.epoch || pa.seq != ch.seq ||
+      pa.timestamp != ch.timestamp) {
     co_return;  // stale
   }
   counters_.acks_received.inc();
@@ -1102,10 +1136,7 @@ sim::Task<> Nic::apply_positive_ack(NodeId peer, const Frame::PiggyAck& pa,
     this->peer(peer).rtt.sample(engine_->now() - ch.sent_at);
     counters_.rtt_ns.record(static_cast<double>(engine_->now() - ch.sent_at));
   }
-  Frame pseudo;
-  pseudo.msg_id = pa.msg_id;
-  pseudo.frag_index = pa.frag_index;
-  complete_fragment_ack(ch, pseudo);
+  complete_fragment_ack(ch, pa.msg_id);
 }
 
 void Nic::schedule_piggy_flush(NodeId peer) {
@@ -1265,6 +1296,10 @@ Nic::ChannelState* Nic::find_free_channel(NodeId node) {
       p.send[i].epoch = epoch_base_;
     }
     p.free_channels = static_cast<int>(p.send.size());
+    if (config_.piggyback_acks) {
+      p.carried.resize(p.send.size() *
+                       static_cast<std::size_t>(config_.piggyback_max));
+    }
   }
   if constexpr (kCheckIndexes) {
     int free = 0;
@@ -1334,7 +1369,7 @@ void Nic::abort_descriptor(EndpointState& ep, std::uint64_t msg_id) {
   for (auto& p : peers_) {
     if (p == nullptr) continue;
     for (auto& ch : p->send) {
-      if (ch.busy && ch.src_ep == &ep && ch.pending.msg_id == msg_id) {
+      if (ch.busy && ch.src_ep == &ep && ch.msg_id == msg_id) {
         release_channel(ch);
         ch.timer_gen++;
         disarm_timer(ch);

@@ -15,6 +15,7 @@
 #include "myrinet/fabric.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "sim/ring.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 
@@ -166,21 +167,35 @@ class Nic {
   void reboot();
 
  private:
+  /// One stop-and-wait send channel (§5.1). While busy it is bound to one
+  /// fragment; it keeps only what that fragment's descriptor cannot say —
+  /// the destination resolved at first send, the sequence and timestamp of
+  /// the copy on the wire — and handle_retransmit() rebuilds the frame from
+  /// the descriptor with data_frame(). Fields are ordered by size: one
+  /// table entry per (peer, channel) adds up to O(N^2) across a cluster.
   struct ChannelState {
-    NodeId peer = myrinet::kInvalidNode;
-    std::uint16_t index = 0;
-    bool busy = false;
-    std::uint8_t next_seq = 0;
-    std::uint32_t epoch = 1;
+    std::uint64_t msg_id = 0;       ///< bound fragment's message
+    std::uint64_t key = 0;          ///< its destination key
     std::uint64_t timer_gen = 0;
-    sim::EventHandle timer_ev;   // pending retransmit timer, if armed
-    int consecutive_retries = 0;
-    Frame pending;               // retransmission template
+    sim::Time sent_at = 0;          ///< of the most recent (re)transmission
     EndpointState* src_ep = nullptr;
-    std::size_t route_index = 0;
-    sim::Time sent_at = 0;       // of the most recent (re)transmission
+    sim::EventHandle timer_ev;      ///< pending retransmit timer, if armed
+    NodeId peer = myrinet::kInvalidNode;
+    EpId dst_ep = kInvalidEp;
+    std::uint32_t frag_index = 0;
+    std::uint32_t epoch = 1;
+    std::uint32_t timestamp = 0;    ///< NIC clock stamped on the copy sent
+    int consecutive_retries = 0;
+    std::uint16_t index = 0;
+    std::uint8_t next_seq = 0;
+    std::uint8_t seq = 0;           ///< sequence number of the bound fragment
+    /// Acks piggybacked on the bound fragment (Peer::carried holds them).
+    std::uint16_t carried_acks = 0;
+    bool busy = false;
     bool was_retransmitted = false;  // Karn: skip RTT samples
   };
+  static_assert(sizeof(ChannelState) <= 128,
+                "one ChannelState per (peer, channel): keep it compact");
 
   /// §8 extension: per-peer Jacobson RTT estimator fed by ack timestamps.
   struct RttEstimator {
@@ -230,6 +245,9 @@ class Nic {
     int free_channels = 0;  ///< entries of `send` with !busy
     RttEstimator rtt;
     std::vector<Frame::PiggyAck> pending_acks;
+    /// With piggyback_acks: the acks each busy channel's fragment carries,
+    /// piggyback_max slots per channel (ChannelState::carried_acks used).
+    std::vector<Frame::PiggyAck> carried;
     bool piggy_flush_scheduled = false;
   };
 
@@ -246,18 +264,26 @@ class Nic {
   sim::Task<bool> service_step();
   sim::Task<bool> service_endpoint(EndpointState& ep);
   sim::Task<bool> start_fragment(EndpointState& ep, SendDescriptor& desc);
+  std::uint32_t fragment_bytes(const SendDescriptor& desc,
+                               std::uint32_t frag) const;
+  Frame data_frame(const EndpointState& ep, const SendDescriptor& desc,
+                   NodeId dst_node, EpId dst_ep, std::uint64_t key,
+                   std::uint32_t frag) const;
   sim::Task<bool> deliver_local(EndpointState& src, SendDescriptor& desc,
                                 EpId dst_ep, std::uint64_t key);
   sim::Task<bool> handle_rx(myrinet::Packet pkt);
-  sim::Task<> handle_data(Frame f);
+  sim::Task<> handle_data(const Frame& f);
   sim::Task<> handle_ack_or_nack(const Frame& f);
   sim::Task<> handle_driver(DriverOp op);
   sim::Task<bool> handle_retransmit(ChannelState* ch);
   sim::Task<> accept_fragment(EndpointState& ep, const Frame& f,
-                              std::deque<RecvEntry>& queue,
+                              RecvQueue& queue,
                               std::uint32_t& reserved);
   sim::Task<> send_ack(const Frame& data);
-  sim::Task<> send_nack(const Frame& data, NackReason r);
+  sim::Task<> send_nack(const Frame& data, NackReason r) {
+    return send_nack(data, r, data.epoch);
+  }
+  sim::Task<> send_nack(const Frame& data, NackReason r, std::uint32_t epoch);
   sim::Task<> apply_positive_ack(NodeId peer, const Frame::PiggyAck& pa,
                                  bool standalone);
   void schedule_piggy_flush(NodeId peer);
@@ -292,7 +318,7 @@ class Nic {
   sim::Duration backoff_for(const ChannelState& ch, int consecutive) const;
   sim::Duration nack_backoff(int consecutive) const;
   SendDescriptor* find_descriptor(EndpointState& ep, std::uint64_t msg_id);
-  void complete_fragment_ack(ChannelState& ch, const Frame& ack);
+  void complete_fragment_ack(ChannelState& ch, std::uint64_t msg_id);
   void abort_descriptor(EndpointState& ep, std::uint64_t msg_id);
   void return_to_sender(EndpointState& ep, std::uint64_t msg_id,
                         NackReason reason);
@@ -315,7 +341,7 @@ class Nic {
   bool doorbell_deferred_ = false;
   sim::Mailbox<myrinet::Packet> rx_;
   sim::Mailbox<DriverOp> driver_ops_;
-  std::deque<ChannelState*> due_retransmits_;
+  sim::Ring<ChannelState*> due_retransmits_;
   std::vector<DriverOp> pending_unloads_;
 
   std::vector<FrameSlot> frames_;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "myrinet/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/shard.hpp"
 
 namespace vnet::myrinet {
@@ -243,8 +243,7 @@ class Channel {
     const sim::Time now = engine_->now();
     bool refunded = false;
     while (!train_.empty() && train_.front().delivered_at <= now) {
-      Packet p = std::move(train_.front());
-      train_.pop_front();
+      Packet p = train_.take_front();
       const bool drop = !up_ || (fault_filter && fault_filter(p));
       if (drop) {
         if (!up_) {
@@ -304,10 +303,10 @@ class Channel {
   /// When the transmitter finishes serializing everything accepted so far.
   sim::Time tx_free_at_ = 0;
   /// Packets on the wire, arrival order; head owns the one pending event.
-  std::deque<Packet> train_;
+  sim::Ring<Packet> train_;
   bool delivery_pending_ = false;
   /// Maturity instants of credits still travelling back (FIFO).
-  std::deque<sim::Time> credit_returns_;
+  sim::Ring<sim::Time> credit_returns_;
   bool waiting_ = false;
   bool wake_armed_ = false;
   std::uint64_t packets_sent_ = 0;

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "myrinet/link.hpp"
 #include "myrinet/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/sync.hpp"
 
 namespace vnet::myrinet {
@@ -75,9 +75,7 @@ class Station {
  private:
   void pump() {
     while (tx_ != nullptr && !backlog_.empty() && tx_->can_send()) {
-      Packet p = std::move(backlog_.front());
-      backlog_.pop_front();
-      tx_->send(std::move(p));
+      tx_->send(backlog_.take_front());
     }
     // Out of credits with packets still queued: arm the demand wakeup
     // (on_tx_ready fires only when armed — there is no unsolicited call).
@@ -89,7 +87,7 @@ class Station {
   sim::CondVar drained_;
   Channel* tx_ = nullptr;
   Channel* rx_ = nullptr;
-  std::deque<Packet> backlog_;
+  sim::Ring<Packet> backlog_;
   std::uint64_t packets_injected_ = 0;
   std::uint64_t packets_received_ = 0;
 };

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "myrinet/link.hpp"
 #include "myrinet/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 
 namespace vnet::myrinet {
 
@@ -73,14 +73,14 @@ class Switch {
   struct Port {
     Channel* tx = nullptr;
     Channel* rx = nullptr;
-    std::deque<Queued> queue;
+    sim::Ring<Queued> queue;
     // Packets routed to this output that could not be queued; they still
     // occupy their input buffer (in_port = input port holding the credit).
     struct Blocked {
       int in_port = 0;
       Queued q;
     };
-    std::deque<Blocked> blocked;
+    sim::Ring<Blocked> blocked;
   };
 
   void route(int in_port, Packet p) {
@@ -110,8 +110,7 @@ class Switch {
   void pump(int out) {
     Port& op = ports_[out];
     while (op.tx != nullptr && !op.queue.empty() && op.tx->can_send()) {
-      Queued q = std::move(op.queue.front());
-      op.queue.pop_front();
+      Queued q = op.queue.take_front();
       ++packets_routed_;
       // Any cut-through time not yet elapsed becomes dead time ahead of
       // the output serialization.
@@ -121,8 +120,7 @@ class Switch {
       // A queue slot freed: admit one blocked packet and release its
       // input-side credit.
       if (!op.blocked.empty()) {
-        Port::Blocked b = std::move(op.blocked.front());
-        op.blocked.pop_front();
+        Port::Blocked b = op.blocked.take_front();
         op.queue.push_back(std::move(b.q));
         ports_[b.in_port].rx->release_credit();
       }

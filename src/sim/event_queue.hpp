@@ -264,17 +264,18 @@ class EventQueue {
   void rebase() {
     base_tick_ = overflow_.front().time >> kBucketShift;
     cursor_ = 0;
-    std::vector<Ref> keep;
-    keep.reserve(overflow_.size());
+    // The survivors collect in a member scratch vector that swaps places
+    // with overflow_, so a rebase allocates nothing once both have grown.
+    rebase_keep_.clear();
     for (const Ref& r : overflow_) {
       const std::int64_t idx = (r.time >> kBucketShift) - base_tick_;
       if (idx < static_cast<std::int64_t>(kNumBuckets)) {
         buckets_[static_cast<std::size_t>(idx)].push_back(r);
       } else {
-        keep.push_back(r);
+        rebase_keep_.push_back(r);
       }
     }
-    overflow_ = std::move(keep);
+    overflow_.swap(rebase_keep_);
     std::make_heap(overflow_.begin(), overflow_.end(), RefAfter{});
     for (auto& b : buckets_) {
       if (!b.empty()) std::make_heap(b.begin(), b.end(), RefAfter{});
@@ -288,6 +289,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;
   std::array<std::vector<Ref>, kNumBuckets> buckets_;
   std::vector<Ref> overflow_;
+  std::vector<Ref> rebase_keep_;  ///< rebase()'s scratch; see there
   std::int64_t base_tick_ = 0;
   std::size_t cursor_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -72,3 +72,31 @@ inline FramePool& frame_pool() {
 }
 
 }  // namespace vnet::sim::detail
+
+namespace vnet::sim {
+
+/// Standard allocator over the frame pool, for containers that must keep
+/// element addresses stable (so no Ring) yet churn storage once per
+/// message: an endpoint's send and receive deques allocate a chunk every
+/// few pushes and free it every few pops. Recycling the chunks through the
+/// pool keeps steady-state messaging allocation-free.
+template <typename T>
+struct PoolAllocator {
+  using value_type = T;
+  PoolAllocator() = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}  // NOLINT
+  template <typename U>
+  bool operator==(const PoolAllocator<U>&) const noexcept {
+    return true;
+  }
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    return static_cast<T*>(detail::frame_pool().allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    detail::frame_pool().deallocate(p, n * sizeof(T));
+  }
+};
+
+}  // namespace vnet::sim

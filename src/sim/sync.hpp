@@ -3,74 +3,14 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
-#include <memory>
-#include <new>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace vnet::sim {
-
-namespace detail {
-
-/// Allocator recycling CondVar wait-state blocks. Every datapath wait
-/// (host block/block_for, firmware doze) materializes one shared state;
-/// with make_shared that is a fresh heap allocation per wait. A
-/// thread-local free list (one size class: the allocator is only ever
-/// rebound to the combined control-block + WaitState type) keeps
-/// steady-state waiting allocation-free with no cross-thread traffic when
-/// shard workers (sim/shard.hpp) run engines in parallel. Blocks freed on
-/// a different thread than they were allocated just migrate pools; both
-/// sides bottom out in global new/delete.
-template <typename T>
-struct WaitStateAlloc {
-  using value_type = T;
-  WaitStateAlloc() = default;
-  template <typename U>
-  WaitStateAlloc(const WaitStateAlloc<U>&) noexcept {}  // NOLINT
-  template <typename U>
-  bool operator==(const WaitStateAlloc<U>&) const noexcept {
-    return true;
-  }
-
-  T* allocate(std::size_t n) {
-    auto& fl = freelist();
-    if (n == 1 && !fl.empty()) {
-      void* p = fl.back();
-      fl.pop_back();
-      return static_cast<T*>(p);
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    auto& fl = freelist();
-    if (n == 1 && fl.size() < 1024) {
-      fl.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-
- private:
-  // One free list per rebound T, so every pooled block has T's exact size.
-  // The pool frees parked blocks when its thread exits (engines are always
-  // torn down before their driving thread), keeping LeakSanitizer clean.
-  struct Pool {
-    std::vector<void*> slots;
-    ~Pool() {
-      for (void* p : slots) ::operator delete(p);
-    }
-  };
-  static std::vector<void*>& freelist() {
-    static thread_local Pool pool;
-    return pool.slots;
-  }
-};
-
-}  // namespace detail
 
 /// Condition variable for simulation processes.
 ///
@@ -81,106 +21,132 @@ struct WaitStateAlloc {
 ///     while (!pred()) co_await cv.wait();
 ///
 /// All wakeups are delivered through the engine's event queue in FIFO order.
+///
+/// Waiters form an intrusive FIFO of wait records that live in the
+/// awaiters themselves, i.e. in the suspended coroutine frames, so waiting
+/// allocates nothing. A record is linked exactly while its waiter is live:
+/// notify unlinks it, a wait_for timeout unlinks it, and destroying a
+/// suspended frame (engine teardown) unlinks it and cancels its timer. A
+/// CondVar destroyed first detaches every record it still holds.
 class CondVar {
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    EventHandle timer;         ///< wait_for() only: cancelled on notify
+    CondVar* cv = nullptr;     ///< the list this record is linked into
+    Waiter* prev = nullptr;
+    Waiter* next = nullptr;
+    bool notified = false;
+  };
+
  public:
   explicit CondVar(Engine& engine) : engine_(&engine) {}
 
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
+  ~CondVar() {
+    while (head_ != nullptr) unlink(*head_);
+  }
+
   /// Awaitable: suspends until notify_one()/notify_all().
   auto wait() {
     struct Awaiter {
+      explicit Awaiter(CondVar& c) : cv(c) {}
+      Awaiter(const Awaiter&) = delete;
+      Awaiter& operator=(const Awaiter&) = delete;
+      ~Awaiter() {
+        if (w.cv != nullptr) w.cv->unlink(w);
+      }
       CondVar& cv;
-      std::shared_ptr<WaitState> state;
+      Waiter w;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        state = std::allocate_shared<WaitState>(
-            detail::WaitStateAlloc<WaitState>{});
-        state->handle = h;
-        cv.waiters_.push_back(state);
+        w.handle = h;
+        cv.link(w);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{*this, nullptr};
+    return Awaiter{*this};
   }
 
   /// Awaitable: suspends until notified or until `d` elapses.
   /// `co_await cv.wait_for(d)` yields true if notified, false on timeout.
   /// A notify cancels the timeout event outright (O(1) in the event queue),
-  /// so heavily-notified waiters leave no stale timer events behind.
+  /// and a timeout unlinks the waiter, so neither leaves anything behind.
   auto wait_for(Duration d) {
     struct Awaiter {
+      Awaiter(CondVar& c, Duration dur) : cv(c), eng(*c.engine_), d(dur) {}
+      Awaiter(const Awaiter&) = delete;
+      Awaiter& operator=(const Awaiter&) = delete;
+      ~Awaiter() {
+        if (w.cv != nullptr) w.cv->unlink(w);
+        if (w.timer.valid()) eng.cancel(w.timer);
+      }
       CondVar& cv;
+      Engine& eng;
       Duration d;
-      std::shared_ptr<WaitState> state;
+      Waiter w;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        state = std::allocate_shared<WaitState>(
-            detail::WaitStateAlloc<WaitState>{});
-        state->handle = h;
-        cv.waiters_.push_back(state);
-        Engine& eng = *cv.engine_;
-        state->timer = eng.after(d, [s = state, &eng] {
-          if (s->done) return;  // already notified
-          s->done = true;
-          s->notified = false;
-          eng.post(s->handle);
+        w.handle = h;
+        cv.link(w);
+        w.timer = eng.after(d, [s = &w, &e = eng] {
+          s->timer = EventHandle{};
+          if (s->cv != nullptr) s->cv->unlink(*s);
+          e.post(s->handle);
         });
       }
-      bool await_resume() const noexcept { return state->notified; }
+      bool await_resume() const noexcept { return w.notified; }
     };
-    return Awaiter{*this, d, nullptr};
+    return Awaiter{*this, d};
   }
 
-  /// Wakes the earliest live waiter, if any.
+  /// Wakes the earliest waiter, if any.
   void notify_one() {
-    while (!waiters_.empty()) {
-      auto s = std::move(waiters_.front());
-      waiters_.pop_front();
-      if (s->done) continue;  // timed out; entry is stale
-      s->done = true;
-      s->notified = true;
-      if (s->timer.valid()) engine_->cancel(s->timer);
-      engine_->post(s->handle);
-      return;
-    }
+    if (head_ != nullptr) wake(*head_);
   }
 
-  /// Wakes all live waiters in FIFO order.
+  /// Wakes all waiters in FIFO order.
   void notify_all() {
-    if (waiters_.empty()) return;  // hot path: most notifies find no waiter
-    auto pending = std::move(waiters_);
-    waiters_.clear();
-    for (auto& s : pending) {
-      if (s->done) continue;
-      s->done = true;
-      s->notified = true;
-      if (s->timer.valid()) engine_->cancel(s->timer);
-      engine_->post(s->handle);
-    }
+    while (head_ != nullptr) wake(*head_);
   }
 
-  /// Number of live (not yet notified or timed-out) waiters.
-  std::size_t waiter_count() const {
-    std::size_t n = 0;
-    for (const auto& s : waiters_) {
-      if (!s->done) ++n;
-    }
-    return n;
-  }
+  /// Number of waiters (neither notified nor timed out).
+  std::size_t waiter_count() const { return count_; }
   Engine& engine() { return *engine_; }
 
  private:
-  struct WaitState {
-    std::coroutine_handle<> handle;
-    EventHandle timer;  // wait_for() only: cancelled on notify
-    bool done = false;
-    bool notified = false;
-  };
+  void link(Waiter& w) {
+    w.cv = this;
+    w.prev = tail_;
+    w.next = nullptr;
+    (tail_ != nullptr ? tail_->next : head_) = &w;
+    tail_ = &w;
+    ++count_;
+  }
+
+  void unlink(Waiter& w) {
+    (w.prev != nullptr ? w.prev->next : head_) = w.next;
+    (w.next != nullptr ? w.next->prev : tail_) = w.prev;
+    w.cv = nullptr;
+    w.prev = w.next = nullptr;
+    --count_;
+  }
+
+  void wake(Waiter& w) {
+    unlink(w);
+    w.notified = true;
+    if (w.timer.valid()) {
+      engine_->cancel(w.timer);
+      w.timer = EventHandle{};
+    }
+    engine_->post(w.handle);
+  }
 
   Engine* engine_;
-  std::deque<std::shared_ptr<WaitState>> waiters_;
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
+  std::size_t count_ = 0;
 };
 
 /// One-shot latch: processes wait until open() is called once; waits after
@@ -295,8 +261,7 @@ class Mailbox {
 
   void post(T value) {
     if (!receivers_.empty()) {
-      Receiver r = receivers_.front();
-      receivers_.pop_front();
+      Receiver r = receivers_.take_front();
       *r.slot = std::move(value);
       engine_->post(r.handle);
     } else {
@@ -311,8 +276,7 @@ class Mailbox {
       std::optional<T> slot;
       bool await_ready() noexcept {
         if (!box.queue_.empty()) {
-          slot = std::move(box.queue_.front());
-          box.queue_.pop_front();
+          slot = box.queue_.take_front();
           return true;
         }
         return false;
@@ -327,9 +291,7 @@ class Mailbox {
 
   std::optional<T> try_receive() {
     if (queue_.empty()) return std::nullopt;
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
+    return queue_.take_front();
   }
 
   bool empty() const { return queue_.empty(); }
@@ -342,8 +304,8 @@ class Mailbox {
   };
 
   Engine* engine_;
-  std::deque<T> queue_;
-  std::deque<Receiver> receivers_;
+  Ring<T> queue_;
+  Ring<Receiver> receivers_;
 };
 
 }  // namespace vnet::sim

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "am/endpoint.hpp"
@@ -946,6 +949,145 @@ TEST_F(NicTest, DeadSpineRebindsOnNextChannelAfterCursor) {
               static_cast<std::uint64_t>(2 * (m + 1)));
   }
 }
+
+// ------------------------------------------- retransmission rebuild
+
+// A channel keeps no copy of the frame it sent: handle_retransmit rebuilds
+// the retransmission from the descriptor and the channel's few fields. Node
+// 0's link drops the first copy of every data frame it sends; each copy
+// that replaces one must match it on the wire in everything but the NIC
+// timestamp — body, reply token, fragment fields and piggybacked acks.
+void expect_same_wire_frame(const Frame& a, const Frame& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.src_node, b.src_node);
+  EXPECT_EQ(a.src_ep, b.src_ep);
+  EXPECT_EQ(a.dst_node, b.dst_node);
+  EXPECT_EQ(a.dst_ep, b.dst_ep);
+  EXPECT_EQ(a.key, b.key);
+  EXPECT_EQ(a.src_tag, b.src_tag);
+  EXPECT_EQ(a.channel, b.channel);
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_LE(a.timestamp, b.timestamp);
+  EXPECT_EQ(a.body.handler, b.body.handler);
+  EXPECT_EQ(a.body.is_request, b.body.is_request);
+  EXPECT_EQ(a.body.args, b.body.args);
+  EXPECT_EQ(a.body.bulk_bytes, b.body.bulk_bytes);
+  EXPECT_EQ(a.body.bulk_offset, b.body.bulk_offset);
+  EXPECT_EQ(a.body.bulk_data, b.body.bulk_data);
+  EXPECT_EQ(a.reply_to.node, b.reply_to.node);
+  EXPECT_EQ(a.reply_to.ep, b.reply_to.ep);
+  EXPECT_EQ(a.reply_to.msg_id, b.reply_to.msg_id);
+  EXPECT_EQ(a.reply_to.key, b.reply_to.key);
+  EXPECT_EQ(a.msg_id, b.msg_id);
+  EXPECT_EQ(a.frag_index, b.frag_index);
+  EXPECT_EQ(a.frag_count, b.frag_count);
+  EXPECT_EQ(a.frag_bytes, b.frag_bytes);
+  EXPECT_EQ(a.nack, b.nack);
+  EXPECT_EQ(a.acked_seq, b.acked_seq);
+  EXPECT_EQ(a.delivered_at, b.delivered_at);
+  EXPECT_EQ(a.wire_hops, b.wire_hops);
+  EXPECT_EQ(a.wire_bytes(), b.wire_bytes());
+  ASSERT_EQ(a.piggy_acks.size(), b.piggy_acks.size());
+  for (std::size_t i = 0; i < a.piggy_acks.size(); ++i) {
+    const auto& x = a.piggy_acks[i];
+    const auto& y = b.piggy_acks[i];
+    EXPECT_EQ(x.channel, y.channel);
+    EXPECT_EQ(x.seq, y.seq);
+    EXPECT_EQ(x.epoch, y.epoch);
+    EXPECT_EQ(x.timestamp, y.timestamp);
+    EXPECT_EQ(x.msg_id, y.msg_id);
+    EXPECT_EQ(x.frag_index, y.frag_index);
+  }
+}
+
+class RetransmitRebuildTest : public NicTest,
+                              public ::testing::WithParamInterface<bool> {};
+
+TEST_P(RetransmitRebuildTest, RebuiltCopyMatchesTheDroppedOne) {
+  NicConfig cfg;
+  cfg.retransmit_timeout = 100 * sim::us;
+  cfg.piggyback_acks = GetParam();
+  build(2, cfg);
+  auto* a = make_ep(0, 1, 0x11, 0);
+  auto* b = make_ep(1, 2, 0x22, 0);
+  map(a, 0, 1, 2, 0x22);
+  map(b, 0, 0, 1, 0x11);
+
+  // Node 0's first copy of each (msg_id, frag_index) is dropped; the next
+  // copy is paired with it.
+  std::map<std::pair<std::uint64_t, std::uint32_t>, Frame> dropped;
+  std::vector<std::pair<Frame, Frame>> pairs;
+  myrinet::Channel* tx = fabric_->station(0).tx_channel();
+  tx->fault_filter = [&, inner = std::move(tx->fault_filter)](
+                         myrinet::Packet& p) {
+    if (inner && inner(p)) return true;
+    const auto* f = dynamic_cast<const Frame*>(p.payload.get());
+    if (f == nullptr || f->kind != FrameKind::kData) return false;
+    const auto [it, first] =
+        dropped.try_emplace({f->msg_id, f->frag_index}, *f);
+    if (first) return true;
+    if (it->second.kind == FrameKind::kData) {
+      pairs.emplace_back(it->second, *f);
+      it->second.kind = FrameKind::kAck;  // paired; later copies pass
+    }
+    return false;
+  };
+
+  // Node 0 answers every request from node 1 (its replies carry reply
+  // tokens and, with piggybacking, the acks for those requests) and sends
+  // one bulk request of three fragments with real bytes.
+  a->on_arrival = [&] {
+    eng_.after(1 * sim::us, [&] {
+      while (!a->recv_requests.empty()) {
+        post_reply(a, a->recv_requests.front(), 2,
+                   a->recv_requests.front().body.args[0] + 100);
+        a->recv_requests.pop_front();
+      }
+    });
+  };
+  b->on_arrival = [&] {
+    b->recv_requests.clear();
+    b->recv_replies.clear();
+  };
+  for (int i = 0; i < 6; ++i) post_request(b, 0, 1, i);
+  SendDescriptor bulk;
+  bulk.body.handler = 3;
+  bulk.body.args = {7, 8, 9, 10};
+  bulk.body.bulk_bytes = 3 * cfg.max_packet_payload;
+  bulk.body.bulk_data = std::make_shared<const std::vector<std::uint8_t>>(
+      bulk.body.bulk_bytes, 0x5a);
+  bulk.msg_id = a->alloc_msg_id();
+  bulk.frag_count = 3;
+  a->enqueue(std::move(bulk));
+  nics_[0]->doorbell(*a);
+  eng_.run();
+
+  EXPECT_EQ(b->msgs_delivered, 7u);  // six replies and the bulk request
+  // Six replies and three bulk fragments were each dropped once.
+  ASSERT_EQ(pairs.size(), 9u);
+  int replies = 0, fragments = 0, carrying_acks = 0;
+  for (const auto& [orig, again] : pairs) {
+    SCOPED_TRACE("msg " + std::to_string(orig.msg_id) + " frag " +
+                 std::to_string(orig.frag_index));
+    expect_same_wire_frame(orig, again);
+    replies += orig.reply_to.valid() ? 1 : 0;
+    fragments += orig.frag_count > 1 ? 1 : 0;
+    carrying_acks += orig.piggy_acks.empty() ? 0 : 1;
+  }
+  EXPECT_EQ(replies, 6);
+  EXPECT_EQ(fragments, 3);
+  if (GetParam()) {
+    EXPECT_GT(carrying_acks, 0);
+  } else {
+    EXPECT_EQ(carrying_acks, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Piggyback, RetransmitRebuildTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PiggybackOn" : "PiggybackOff";
+                         });
 
 // ------------------------------------------------- schedule-identity guard
 //

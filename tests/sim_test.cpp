@@ -5,12 +5,14 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -423,6 +425,62 @@ TEST(CondVar, TimedOutWaiterDoesNotConsumeNotify) {
   EXPECT_TRUE(second);   // got the notify despite being second in line
 }
 
+// Waiters of both kinds share one FIFO: a timed-out waiter leaves it at
+// once (waiter_count drops), and notify_all wakes the rest in wait order.
+TEST(CondVar, NotifyAllWakesMixedWaitersInFifoOrder) {
+  Engine eng;
+  CondVar cv(eng);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    eng.spawn([](CondVar& c, std::vector<int>& ord, int id) -> Process {
+      if (id % 2 == 0) {
+        co_await c.wait();
+      } else if (!co_await c.wait_for(id == 3 ? 5 * us : 100 * us)) {
+        ord.push_back(-id);  // timed out
+        co_return;
+      }
+      ord.push_back(id);
+    }(cv, order, i));
+  }
+  eng.run_until(1 * us);
+  EXPECT_EQ(cv.waiter_count(), 5u);
+  eng.run_until(6 * us);
+  EXPECT_EQ(order, (std::vector<int>{-3}));
+  EXPECT_EQ(cv.waiter_count(), 4u);
+  cv.notify_one();
+  eng.run_until(7 * us);
+  EXPECT_EQ(cv.waiter_count(), 3u);
+  cv.notify_all();
+  EXPECT_EQ(cv.waiter_count(), 0u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{-3, 0, 1, 2, 4}));
+  EXPECT_EQ(eng.pending_events(), 0u);  // the notified waiter's timer too
+}
+
+// Teardown in either order: a CondVar destroyed under a suspended waiter
+// detaches it, and a waiter frame destroyed while linked unlinks itself
+// and cancels its timer.
+TEST(CondVar, TeardownWithSuspendedWaiters) {
+  {
+    Engine eng;
+    auto cv = std::make_unique<CondVar>(eng);
+    eng.spawn([](CondVar& c) -> Process { co_await c.wait_for(1 * ms); }(*cv));
+    eng.spawn([](CondVar& c) -> Process { co_await c.wait(); }(*cv));
+    eng.run_until(1 * us);
+    EXPECT_EQ(cv->waiter_count(), 2u);
+    cv.reset();
+  }  // ~Engine destroys both frames
+  Engine eng;
+  CondVar cv(eng);
+  eng.spawn([](CondVar& c) -> Process { co_await c.wait_for(1 * ms); }(cv));
+  eng.spawn([](CondVar& c) -> Process { co_await c.wait(); }(cv));
+  eng.run_until(1 * us);
+  eng.shutdown();
+  EXPECT_EQ(cv.waiter_count(), 0u);
+  cv.notify_all();
+  EXPECT_FALSE(eng.has_events());
+}
+
 // ------------------------------------------------------------------ Gate
 
 TEST(Gate, WaitersReleaseOnOpenAndLateWaitsPass) {
@@ -495,6 +553,31 @@ TEST(Semaphore, HandoffIsFifo) {
   }
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// ------------------------------------------------------------------ Ring
+
+// Growth while the contents wrap around the buffer end keeps FIFO order,
+// and the elements still queued are destroyed with the ring.
+TEST(Ring, KeepsFifoOrderAcrossWrapAndGrowth) {
+  auto token = std::make_shared<int>(0);
+  {
+    Ring<std::pair<int, std::shared_ptr<int>>> ring;
+    int next_in = 0, next_out = 0;
+    for (int round = 0; round < 50; ++round) {
+      // Net growth of one element per round, popping between pushes so
+      // the head walks around the buffer before each growth.
+      for (int i = 0; i < 3; ++i) ring.push_back({next_in++, token});
+      for (int i = 0; i < 2; ++i) {
+        auto [v, p] = ring.take_front();
+        EXPECT_EQ(v, next_out++);
+      }
+    }
+    EXPECT_EQ(ring.size(), 50u);
+    EXPECT_EQ(ring.front().first, next_out);
+    EXPECT_EQ(token.use_count(), 51);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --------------------------------------------------------------- Mailbox
